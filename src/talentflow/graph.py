@@ -14,10 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-from scipy.optimize import minimize_scalar
-from scipy.special import zeta
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .hops import HopCorpus
 
@@ -304,6 +301,147 @@ class PowerLawFit:
     n_tail: int
 
 
+# Cephes zeta.c: A[i] = (2i+2)! / B_{2i+2}, the Euler-Maclaurin tail terms.
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,  # 1.307674368e12 / 691
+    7.47242496e10,
+    -2.950130727918164224e12,  # 1.067062284288e16 / 3617
+    1.1646782814350067249e14,  # 5.109094217170944e18 / 43867
+    -4.5979787224074726105e15,  # 8.028576626367488e20 / 174611
+    1.8152105401943546773e17,  # 1.5511210043330985984e23 / 854513
+    -7.1661652561756670113e18,  # 1.6938241367317436694528e27 / 236364091
+)
+_MACHEP = 1.11022302462515654042e-16  # 2**-53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta(x, q) = sum over k >= 0 of (k + q)^-x, for x > 1, q > 0.
+
+    A line-for-line port of the Cephes routine behind SciPy's
+    `special.zeta(x, q)`: direct summation of at least nine terms and until
+    k + q > 9, then the Euler-Maclaurin tail; an asymptotic form for
+    q > 1e8. Every step is the same IEEE double operation in the same
+    order, so results are bit-identical to SciPy's.
+    """
+    q = float(q)
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+def _step_sign(v: float) -> float:
+    """NumPy's `sign(v) + (v == 0)`: the direction of a step, +1 at zero."""
+    return math.copysign(1.0, v) if v != 0 else 1.0
+
+
+def _fminbound(f: Callable[[float], float], a: float, b: float,
+               xatol: float) -> float:
+    """Minimizer of f on [a, b] by Brent's method: golden-section search
+    with parabolic interpolation steps.
+
+    A line-for-line port of SciPy's
+    `optimize.minimize_scalar(method="bounded")`, evaluating f at the same
+    points in the same order, so the returned x is bit-identical to its
+    `res.x`.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # SciPy's default maxiter
+            break
+    return xf
+
+
 def fit_power_law(values: Iterable[int], x_min: int = 1,
                   min_tail: int = 50) -> PowerLawFit:
     """Maximum-likelihood exponent of a discrete power law p(x) ~ x^-alpha
@@ -311,8 +449,12 @@ def fit_power_law(values: Iterable[int], x_min: int = 1,
 
     The zeta-normalized likelihood is maximized numerically; unlike the
     closed-form continuous approximation, this stays unbiased at small
-    x_min. Raises TailTooSmallError when fewer than `min_tail` values lie
-    in the tail.
+    x_min. The normalizer is a pure-Python port of the Cephes Hurwitz
+    zeta and the search a port of the bounded Brent minimizer (alpha in
+    [1 + 1e-6, 25], xatol 1e-9); both are bit-exact with SciPy's
+    `special.zeta` and `optimize.minimize_scalar`, which the tests use as
+    the oracle. Raises TailTooSmallError when fewer than
+    `min_tail` values lie in the tail.
     """
     if x_min < 1:
         raise ValueError(f"x_min must be >= 1, got {x_min}")
@@ -329,11 +471,10 @@ def fit_power_law(values: Iterable[int], x_min: int = 1,
     slog = sum(math.log(v) for v in tail)
 
     def nll(alpha: float) -> float:
-        return n * math.log(zeta(alpha, x_min)) + alpha * slog
+        return n * math.log(_hurwitz_zeta(alpha, x_min)) + alpha * slog
 
-    result = minimize_scalar(nll, bounds=(1.0 + 1e-6, 25.0), method="bounded",
-                             options={"xatol": 1e-9})
-    return PowerLawFit(alpha=float(result.x), x_min=x_min, n_tail=n)
+    alpha = _fminbound(nll, 1.0 + 1e-6, 25.0, xatol=1e-9)
+    return PowerLawFit(alpha=alpha, x_min=x_min, n_tail=n)
 
 
 @dataclass(frozen=True)

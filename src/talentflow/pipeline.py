@@ -62,9 +62,16 @@ class DependencyError(Exception):
 
 
 def _atomic(path: Path, write_fn: Callable[[Path], None]) -> None:
+    """Write via `write_fn` to a temp file, then rename it over `path`. On
+    any failure, interruption included, the temp file is removed and
+    `path` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, payload: dict) -> None:

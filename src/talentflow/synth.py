@@ -88,8 +88,11 @@ class SynthSpec:
             raise ValueError("need at least one organization and industry")
         if not 0 <= self.min_spells <= self.max_spells:
             raise ValueError("invalid spell count range")
-        if self.title_classes < 1:
-            raise ValueError("title_classes must be >= 1")
+        # generate() draws distinct (position, domain, function) bases
+        max_classes = (len(POSITIONS) + 1) * len(DOMAINS) * len(FUNCTIONS)
+        if not 1 <= self.title_classes <= max_classes:
+            raise ValueError(f"title_classes must be in [1, {max_classes}], "
+                             f"got {self.title_classes}")
         for name in ("variant_rate", "typo_rate", "paren_rate", "junk_rate",
                      "overlap_prob", "same_org_prob", "duplicate_prob",
                      "education_rate", "skill_rate", "ongoing_rate"):

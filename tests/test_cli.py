@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,3 +221,14 @@ def test_cli_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--no-such-flag"])
     assert excinfo.value.code == 1
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, talentflow.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

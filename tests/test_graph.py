@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talentflow.dates import Month
 from talentflow.graph import (JOB_MODE, ORG_MODE, STRONG, WEAK,
-                              TailTooSmallError, TalentGraph,
+                              TailTooSmallError, TalentGraph, _hurwitz_zeta,
                               build_centrality_report, build_graph,
                               connected_components, degree_ccdf,
                               degree_centrality, fit_power_law, sparsity,
@@ -428,6 +429,44 @@ def test_scale_free_degree_sequence_fits_above_two(dicts):
     values = zipf_inverse_cdf_samples(2.7, 5_000, seed=3)
     fit = fit_power_law(values, x_min=1)
     assert fit.alpha > 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(1 + 1e-6, 1 + 1e-3), st.floats(1 + 1e-6, 25.0)),
+       q=st.integers(1, 5))
+@example(x=1 + 1e-6, q=1)
+@example(x=25.0, q=5)
+def test_hurwitz_zeta_is_bit_exact_with_scipy(x, q):
+    special = pytest.importorskip("scipy.special")
+    assert _hurwitz_zeta(x, q) == float(special.zeta(x, q))
+
+
+@st.composite
+def _tails(draw):
+    x_min = draw(st.integers(1, 3))
+    heavy = st.integers(x_min, 10 ** 6)
+    near = st.integers(x_min, x_min + 5)
+    values = draw(st.lists(st.one_of(near, heavy), min_size=50, max_size=400))
+    return values, x_min
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tails())
+@example(([1] * 50, 1))
+@example(([2] * 120, 2))
+def test_power_law_fit_is_bit_exact_with_scipy(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    special = pytest.importorskip("scipy.special")
+    values, x_min = case
+    n = len(values)
+    slog = sum(math.log(v) for v in values)
+
+    def nll(alpha):
+        return n * math.log(special.zeta(alpha, x_min)) + alpha * slog
+
+    oracle = optimize.minimize_scalar(nll, bounds=(1 + 1e-6, 25), method="bounded",
+                                      options={"xatol": 1e-9})
+    assert fit_power_law(values, x_min).alpha == float(oracle.x)
 
 
 def test_top_k_ranking():

@@ -8,8 +8,8 @@ import pytest
 from talentflow.dates import Month
 from talentflow.hops import build_hop_corpus
 from talentflow.ingest import load_profiles
-from talentflow.synth import (SynthSpec, generate, write_profiles_jsonl,
-                              write_sidecar)
+from talentflow.synth import (DOMAINS, FUNCTIONS, POSITIONS, SynthSpec,
+                              generate, write_profiles_jsonl, write_sidecar)
 from talentflow.titles import build_normalization
 
 
@@ -123,3 +123,13 @@ def test_spec_validation():
         SynthSpec(min_spells=5, max_spells=2).validate()
     with pytest.raises(ValueError):
         SynthSpec(reference_date="nope").validate()
+
+
+def test_title_classes_capped_at_distinct_bases():
+    # generate() would loop forever looking for more distinct bases
+    limit = (len(POSITIONS) + 1) * len(DOMAINS) * len(FUNCTIONS)
+    SynthSpec(title_classes=limit).validate()
+    with pytest.raises(ValueError, match=f"title_classes must be in \\[1, {limit}\\]"):
+        SynthSpec(title_classes=limit + 1).validate()
+    with pytest.raises(ValueError):
+        SynthSpec(title_classes=0).validate()
