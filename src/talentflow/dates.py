@@ -29,11 +29,19 @@ class Month:
 
     @classmethod
     def parse(cls, text: str) -> "Month":
-        """Parse a 'YYYY-MM' string."""
-        m = _MONTH_RE.match(text)
-        if not m:
-            raise ValueError(f"not a YYYY-MM month: {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        """Parse a 'YYYY-MM' string.
+
+        Valid results are interned by text, because a corpus repeats a few
+        hundred distinct months many times over; invalid text is never
+        cached and raises on every call.
+        """
+        month = _PARSED.get(text) if isinstance(text, str) else None
+        if month is None:
+            m = _MONTH_RE.match(text)
+            if not m:
+                raise ValueError(f"not a YYYY-MM month: {text!r}")
+            month = _PARSED[text] = cls(int(m.group(1)), int(m.group(2)))
+        return month
 
     @property
     def ordinal(self) -> int:
@@ -42,6 +50,9 @@ class Month:
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
+
+
+_PARSED: dict[str, Month] = {}
 
 
 def months_between(start: Month, end: Month) -> int:

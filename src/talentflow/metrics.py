@@ -2,8 +2,9 @@
 
 Covers per-person work experience and job age, their per-job averages,
 job levels and level gains with promotion/demotion labels, cohort-grouped
-external-hop fractions, and distribution summaries. All ratios are exact
-rationals internally and are rendered as decimals only on export.
+external-hop fractions, and distribution summaries. Durations are kept as
+integer months; an exact `Fraction` of years is formed only for a mean, a
+gain or a quartile interpolation, and rendered as a decimal on export.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dates import Month, format_years, years_between
+from .dates import Month, format_years, months_between
 from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
 from .titles import NormalizationMap, identity
@@ -24,9 +25,9 @@ from .titles import NormalizationMap, identity
 logger = logging.getLogger(__name__)
 
 
-def work_experience(profile: PersonProfile, spell: JobSpell,
-                    reference_date: Month) -> Fraction | None:
-    """Years from the most recent graduation to the end of the spell.
+def work_experience_months(profile: PersonProfile, spell: JobSpell,
+                           reference_date: Month) -> int | None:
+    """Months from the most recent graduation to the end of the spell.
 
     None when the profile has no dated education. Non-positive results
     are returned as-is; aggregates exclude them.
@@ -34,18 +35,37 @@ def work_experience(profile: PersonProfile, spell: JobSpell,
     grad = profile.grad_date()
     if grad is None:
         return None
-    return years_between(grad, spell.resolved_end(reference_date))
+    return months_between(grad, spell.resolved_end(reference_date))
 
 
-def job_age(spell: JobSpell, reference_date: Month) -> Fraction | None:
-    """Years from the spell's start to the reference date; None (with a
+def job_age_months(spell: JobSpell, reference_date: Month) -> int | None:
+    """Months from the spell's start to the reference date; None (with a
     warning) when the spell starts after the reference date."""
-    age = years_between(spell.start_date, reference_date)
+    age = months_between(spell.start_date, reference_date)
     if age < 0:
         logger.warning("spell starts after reference date %s: %s at %s",
                        reference_date, spell.raw_title, spell.organization)
         return None
     return age
+
+
+def _years(months: int | None) -> Fraction | None:
+    return None if months is None else Fraction(months, 12)
+
+
+def work_experience(profile: PersonProfile, spell: JobSpell,
+                    reference_date: Month) -> Fraction | None:
+    """`work_experience_months` in years."""
+    return _years(work_experience_months(profile, spell, reference_date))
+
+
+def job_age(spell: JobSpell, reference_date: Month) -> Fraction | None:
+    """`job_age_months` in years."""
+    return _years(job_age_months(spell, reference_date))
+
+
+def _mean_years(total_months: int, n: int) -> Fraction | None:
+    return Fraction(total_months, 12 * n) if n else None
 
 
 @dataclass(frozen=True)
@@ -62,16 +82,30 @@ class JobHolding:
     industry: str
     start: Month
     end: Month
-    wk_exp: Fraction | None
-    job_age: Fraction | None
+    wk_months: int | None
+    age_months: int | None
+
+    @property
+    def wk_exp(self) -> Fraction | None:
+        return _years(self.wk_months)
+
+    @property
+    def job_age(self) -> Fraction | None:
+        return _years(self.age_months)
 
 
-def _mean(values: Sequence[Fraction]) -> Fraction:
-    return sum(values, Fraction(0)) / len(values)
+def _positive_wk_months(holdings: Iterable[JobHolding]) -> list[int]:
+    """Work-experience months of the holdings, positive values only."""
+    return [h.wk_months for h in holdings if (h.wk_months or 0) > 0]
+
+
+def _sum_count(months: list[int]) -> tuple[int, int]:
+    return sum(months), len(months)
 
 
 class JobIndex:
-    """Holdings indexed by (title, industry) and by (title, organization).
+    """Holdings indexed by (title, industry) and by (title, organization),
+    with the per-job aggregates that the metrics read.
 
     Built once from core users with normalized titles; immutable
     afterwards. Work-experience aggregates use only positive values.
@@ -79,8 +113,6 @@ class JobIndex:
 
     def __init__(self, holdings: Sequence[JobHolding]):
         self.holdings = tuple(holdings)
-        self.by_title_industry: dict[tuple[str, str], tuple[JobHolding, ...]] = {}
-        self.by_title_org: dict[tuple[str, str], tuple[JobHolding, ...]] = {}
         ti: dict[tuple[str, str], list[JobHolding]] = {}
         tc: dict[tuple[str, str], list[JobHolding]] = {}
         for h in self.holdings:
@@ -88,6 +120,23 @@ class JobIndex:
             tc.setdefault((h.title, h.organization), []).append(h)
         self.by_title_industry = {k: tuple(v) for k, v in ti.items()}
         self.by_title_org = {k: tuple(v) for k, v in tc.items()}
+
+        # (title, industry) -> (sum, count) of positive experience months
+        # and of known age months.
+        self.experience_months = {
+            k: _sum_count(_positive_wk_months(group)) for k, group in ti.items()}
+        self.age_months = {
+            k: _sum_count([h.age_months for h in group if h.age_months is not None])
+            for k, group in ti.items()}
+        # (title, organization) -> holders with positive experience, and the
+        # job level for the jobs that have any.
+        self.job_supports: dict[tuple[str, str], int] = {}
+        self.job_levels: dict[tuple[str, str], Fraction] = {}
+        for k, group in tc.items():
+            total, n = _sum_count(_positive_wk_months(group))
+            self.job_supports[k] = n
+            if n:
+                self.job_levels[k] = Fraction(total, 12 * n)
 
     @classmethod
     def build(cls, profile_set: ProfileSet, norm_map: NormalizationMap,
@@ -103,70 +152,53 @@ class JobIndex:
                 title_cache[raw] = hit
             return hit
 
-        merged: dict[tuple[str, str, str], dict] = {}
+        # (person, title, org) -> (profile, the occupancy as one spell)
+        merged: dict[tuple[str, str, str], tuple[PersonProfile, JobSpell]] = {}
         for profile in sorted(profile_set, key=lambda p: p.person_id):
             if core_only and not is_core_user(profile):
                 continue
-            grad = profile.grad_date()
             for spell in profile.spells:
-                title = norm(spell.raw_title)
-                key = (profile.person_id, title, spell.organization)
-                end = spell.resolved_end(reference)
-                slot = merged.get(key)
-                if slot is None:
-                    merged[key] = {
-                        "industry": spell.industry,
-                        "start": spell.start_date,
-                        "end": end,
-                        "grad": grad,
-                    }
-                else:
-                    slot["start"] = min(slot["start"], spell.start_date)
-                    slot["end"] = max(slot["end"], end)
+                key = (profile.person_id, norm(spell.raw_title), spell.organization)
+                seen = merged.get(key)
+                if seen is not None:
+                    first = seen[1]
+                    spell = JobSpell(
+                        first.raw_title, first.organization, first.industry,
+                        min(first.start_date, spell.start_date),
+                        max(first.resolved_end(reference), spell.resolved_end(reference)))
+                merged[key] = (profile, spell)
 
         holdings = []
-        for (person_id, title, org), slot in sorted(merged.items()):
-            grad = slot["grad"]
-            wk = years_between(grad, slot["end"]) if grad is not None else None
-            age = years_between(slot["start"], reference)
-            if age < 0:
-                logger.warning("holding starts after reference date: %s %s", person_id, title)
-                age = None
+        for (person_id, title, org), (profile, spell) in sorted(merged.items()):
             holdings.append(JobHolding(
                 person_id=person_id, title=title, organization=org,
-                industry=slot["industry"], start=slot["start"], end=slot["end"],
-                wk_exp=wk, job_age=age,
+                industry=spell.industry, start=spell.start_date,
+                end=spell.resolved_end(reference),
+                wk_months=work_experience_months(profile, spell, reference),
+                age_months=job_age_months(spell, reference),
             ))
         return cls(holdings)
 
 
-def positive_experiences(holdings: Iterable[JobHolding]) -> list[Fraction]:
-    return [h.wk_exp for h in holdings if h.wk_exp is not None and h.wk_exp > 0]
-
-
 def avg_work_experience(title: str, industry: str, idx: JobIndex) -> Fraction | None:
     """Mean positive work experience over holders of (title, industry)."""
-    values = positive_experiences(idx.by_title_industry.get((title, industry), ()))
-    return _mean(values) if values else None
+    return _mean_years(*idx.experience_months.get((title, industry), (0, 0)))
 
 
 def avg_job_age(title: str, industry: str, idx: JobIndex) -> Fraction | None:
     """Mean job age over holders of (title, industry)."""
-    values = [h.job_age for h in idx.by_title_industry.get((title, industry), ())
-              if h.job_age is not None]
-    return _mean(values) if values else None
+    return _mean_years(*idx.age_months.get((title, industry), (0, 0)))
 
 
 def job_level(title: str, organization: str, idx: JobIndex) -> Fraction | None:
     """Mean positive work experience over holders of (title, organization);
     a proxy for the seniority level of that job."""
-    values = positive_experiences(idx.by_title_org.get((title, organization), ()))
-    return _mean(values) if values else None
+    return idx.job_levels.get((title, organization))
 
 
 def job_support(title: str, organization: str, idx: JobIndex) -> int:
     """Number of holders contributing to the job's level."""
-    return len(positive_experiences(idx.by_title_org.get((title, organization), ())))
+    return idx.job_supports.get((title, organization), 0)
 
 
 class GainLabel(Enum):
@@ -200,12 +232,13 @@ def level_gain(hop: Hop, idx: JobIndex, job_min_sup: int = 10) -> LevelGainRecor
         raise ValueError(f"job_min_sup must be >= 1, got {job_min_sup}")
     src_key = (hop.src_title, hop.src.organization)
     dst_key = (hop.dst_title, hop.dst.organization)
-    src_level = job_level(*src_key, idx)
-    dst_level = job_level(*dst_key, idx)
+    src_level = idx.job_levels.get(src_key)
+    dst_level = idx.job_levels.get(dst_key)
     gain = None
     if src_level is not None and dst_level is not None:
         gain = dst_level - src_level
-    if job_support(*src_key, idx) < job_min_sup or job_support(*dst_key, idx) < job_min_sup:
+    supports = idx.job_supports
+    if supports.get(src_key, 0) < job_min_sup or supports.get(dst_key, 0) < job_min_sup:
         return LevelGainRecord(hop, src_level, dst_level, gain,
                                GainLabel.UNSUPPORTED, REASON_LOW_SUPPORT)
     if gain > 0:
@@ -330,18 +363,15 @@ def cohort_key_for(profile: PersonProfile, hop: Hop, reference_date: Month,
     None when the hopper has no dated education, non-positive work
     experience at that moment, or a source job starting after the
     reference date."""
-    grad = profile.grad_date()
-    if grad is None:
+    wk = work_experience_months(profile, hop.src, reference_date)
+    if wk is None or wk <= 0:
         return None
-    wk = years_between(grad, hop.src.resolved_end(reference_date))
-    if wk <= 0:
-        return None
-    age = years_between(hop.src.start_date, reference_date)
-    if age < 0:
+    age = job_age_months(hop.src, reference_date)
+    if age is None:
         return None
     return CohortKey(
-        wk_exp_bin=int(wk // binning.wk_exp_width) * binning.wk_exp_width,
-        job_age_bin=int(age // binning.job_age_width) * binning.job_age_width,
+        wk_exp_bin=wk // (12 * binning.wk_exp_width) * binning.wk_exp_width,
+        job_age_bin=age // (12 * binning.job_age_width) * binning.job_age_width,
         skill_bin=(len(profile.skills) // binning.skill_width) * binning.skill_width,
     )
 
@@ -355,6 +385,8 @@ class CohortTable:
         self.min_sup = min_sup
 
     def fraction(self, key: CohortKey) -> Fraction | None:
+        """Share of external hops among all hops of a cohort; None when the
+        cohort is absent or below the minimum support."""
         cell = self.cells.get(key)
         if cell is None:
             return None
@@ -395,12 +427,6 @@ def build_cohort_table(corpus: HopCorpus, profile_set: ProfileSet,
     return CohortTable({k: (v[0], v[1]) for k, v in cells.items()}, min_sup)
 
 
-def external_hop_fraction(key: CohortKey, table: CohortTable) -> Fraction | None:
-    """Share of external hops among all hops of a cohort; None when the
-    cohort is absent or below the minimum support."""
-    return table.fraction(key)
-
-
 @dataclass(frozen=True)
 class QuartileSummary:
     count: int
@@ -411,14 +437,28 @@ class QuartileSummary:
     maximum: Fraction
 
 
-def quartiles(values: Sequence[Fraction | int]) -> QuartileSummary | None:
-    """Exact quartiles with linear interpolation between order statistics."""
+def exact_order(value: Fraction) -> tuple[float, Fraction]:
+    """Sort key equivalent to comparing Fractions, but mostly by float.
+
+    Rounding to float is monotone, so unequal floats already give the
+    true order; only equal floats fall back to comparing the Fractions.
+    """
+    return (float(value), value)
+
+
+def quartiles(values: Sequence[Fraction | int],
+              key: Callable[[Fraction], object] | None = None) -> QuartileSummary | None:
+    """Exact quartiles with linear interpolation between order statistics.
+
+    `values` are sorted as given (with `key`, if any, which must order
+    them as their own comparison does); only interpolation forms Fractions.
+    """
     if not values:
         return None
-    data = sorted(Fraction(v) for v in values)
+    data = sorted(values, key=key)
     n = len(data)
 
-    def at(q: Fraction) -> Fraction:
+    def at(q: Fraction) -> Fraction | int:
         pos = (n - 1) * q
         lower = int(pos)  # floor; pos is non-negative
         frac = pos - lower
@@ -454,19 +494,26 @@ def distribution_summaries(profile_set: ProfileSet, idx: JobIndex) -> list[Distr
     """Distributions of skill count, work experience, job age and job
     level, computed over core users."""
     skills = [len(p.skills) for p in profile_set if is_core_user(p)]
-    wk = positive_experiences(idx.holdings)
-    ages = [h.job_age for h in idx.holdings if h.job_age is not None]
-    levels = []
-    for key in sorted(idx.by_title_org):
-        level = job_level(key[0], key[1], idx)
-        if level is not None:
-            levels.append(level)
+    wk = _positive_wk_months(idx.holdings)
+    ages = [h.age_months for h in idx.holdings if h.age_months is not None]
+    levels = list(idx.job_levels.values())
     return [
         Distribution("skill_count", _histogram(skills), quartiles(skills)),
-        Distribution("work_experience", _histogram(int(v // 1) for v in wk), quartiles(wk)),
-        Distribution("job_age", _histogram(int(v // 1) for v in ages), quartiles(ages)),
-        Distribution("job_level", _histogram(int(v // 1) for v in levels), quartiles(levels)),
+        Distribution("work_experience", _histogram(v // 12 for v in wk),
+                     _in_years(quartiles(wk))),
+        Distribution("job_age", _histogram(v // 12 for v in ages),
+                     _in_years(quartiles(ages))),
+        Distribution("job_level", _histogram(int(v // 1) for v in levels),
+                     quartiles(levels, key=exact_order)),
     ]
+
+
+def _in_years(s: QuartileSummary | None) -> QuartileSummary | None:
+    """A summary of month values, re-expressed in years."""
+    if s is None:
+        return None
+    return QuartileSummary(s.count, *(Fraction(v, 12) for v in
+                                      (s.minimum, s.q1, s.median, s.q3, s.maximum)))
 
 
 def _fmt(value: Fraction | None) -> str:
@@ -480,9 +527,9 @@ def write_job_metrics_csv(idx: JobIndex, path) -> None:
         writer.writerow(["title", "industry", "holdings", "positive_experience_holdings",
                          "avg_work_experience", "avg_job_age"])
         for (title, industry) in sorted(idx.by_title_industry):
-            group = idx.by_title_industry[(title, industry)]
             writer.writerow([
-                title, industry, len(group), len(positive_experiences(group)),
+                title, industry, len(idx.by_title_industry[(title, industry)]),
+                idx.experience_months[(title, industry)][1],
                 _fmt(avg_work_experience(title, industry, idx)),
                 _fmt(avg_job_age(title, industry, idx)),
             ])

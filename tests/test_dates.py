@@ -16,8 +16,15 @@ def test_parse_and_str_roundtrip():
 
 @pytest.mark.parametrize("bad", ["2017-13", "2017-00", "17-03", "2017/03", "2017-3", "x"])
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        Month.parse(bad)
+    for _ in range(2):  # a failed parse is not cached
+        with pytest.raises(ValueError):
+            Month.parse(bad)
+
+
+def test_parse_interns_valid_months():
+    first = Month.parse("2016-07")
+    assert first == Month(2016, 7)
+    assert Month.parse("2016-07") is first
 
 
 def test_ordering_is_chronological():

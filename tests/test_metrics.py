@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from talentflow.dates import Month
 from talentflow.hops import build_hop_corpus
-from talentflow.ingest import is_core_user, load_profiles
-from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobIndex,
+from talentflow.ingest import ProfileSet, is_core_user, load_profiles
+from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, JobIndex,
                                 REASON_LOW_SUPPORT, REASON_ZERO_GAIN,
                                 avg_job_age, avg_work_experience,
                                 build_cohort_table, build_level_gain_records,
                                 cohort_key_for, distribution_summaries,
-                                external_hop_fraction, job_age, job_level,
+                                exact_order, job_age, job_level,
                                 job_support, level_gain, promotion_tables,
                                 promotion_vs_duration, quartiles,
                                 work_experience)
@@ -242,13 +245,13 @@ def test_promotion_vs_duration_fraction_and_suppression(dicts):
 def test_cohort_fraction_arithmetic():
     key = CohortKey(2, 1, 5)
     table = CohortTable({key: (3, 1)}, min_sup=1)
-    assert external_hop_fraction(key, table) == Fraction(3, 4)
+    assert table.fraction(key) == Fraction(3, 4)
     all_ext = CohortTable({key: (7, 0)}, min_sup=1)
-    assert external_hop_fraction(key, all_ext) == 1
+    assert all_ext.fraction(key) == 1
     sparse = CohortTable({key: (66, 33)}, min_sup=100)
-    assert external_hop_fraction(key, sparse) is None  # 99 hops at support 100
+    assert sparse.fraction(key) is None  # 99 hops at support 100
     just_enough = CohortTable({key: (67, 33)}, min_sup=100)
-    assert external_hop_fraction(key, just_enough) == Fraction(67, 100)
+    assert just_enough.fraction(key) == Fraction(67, 100)
 
 
 def test_cohort_membership_at_source_exit(dicts):
@@ -491,3 +494,74 @@ def test_quartiles_match_numpy_oracle(synth_setup):
     expected = np.percentile(np.array(values), [0, 25, 50, 75, 100])
     got = [float(s.minimum), float(s.q1), float(s.median), float(s.q3), float(s.maximum)]
     assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# month aggregates vs full-scan Fraction oracles on random holdings
+# ---------------------------------------------------------------------------
+
+_holdings = st.lists(st.builds(
+    JobHolding,
+    person_id=st.sampled_from(["p1", "p2", "p3"]),
+    title=st.sampled_from(["t1", "t2", "t3"]),
+    organization=st.sampled_from(["o1", "o2"]),
+    industry=st.sampled_from(["i1", "i2"]),
+    start=st.just(Month(2010, 1)),
+    end=st.just(Month(2012, 1)),
+    wk_months=st.none() | st.integers(-60, 480),
+    age_months=st.none() | st.integers(0, 480),
+), max_size=40)
+
+
+def _scan_mean(values):
+    return sum(values, Fraction(0)) / len(values) if values else None
+
+
+def _scan_positive_wk(holdings):
+    return [h.wk_exp for h in holdings if h.wk_exp is not None and h.wk_exp > 0]
+
+
+@given(_holdings)
+def test_aggregates_match_full_scan_fraction_means(holdings):
+    idx = JobIndex(holdings)
+    for title in ("t1", "t2", "t3", "absent"):
+        for industry in ("i1", "i2"):
+            group = [h for h in holdings if (h.title, h.industry) == (title, industry)]
+            wk = _scan_positive_wk(group)
+            ages = [h.job_age for h in group if h.job_age is not None]
+            assert avg_work_experience(title, industry, idx) == _scan_mean(wk)
+            assert avg_job_age(title, industry, idx) == _scan_mean(ages)
+        for org in ("o1", "o2"):
+            wk = _scan_positive_wk(
+                [h for h in holdings if (h.title, h.organization) == (title, org)])
+            assert job_level(title, org, idx) == _scan_mean(wk)
+            assert job_support(title, org, idx) == len(wk)
+
+
+@given(_holdings)
+def test_month_summaries_match_fraction_quartiles(holdings):
+    idx = JobIndex(holdings)
+    dists = {d.name: d for d in
+             distribution_summaries(ProfileSet((), REF, {}), idx)}
+    wk = _scan_positive_wk(holdings)
+    ages = [h.job_age for h in holdings if h.job_age is not None]
+    levels = []
+    for key in {(h.title, h.organization) for h in holdings}:
+        level = _scan_mean(_scan_positive_wk(
+            [h for h in holdings if (h.title, h.organization) == key]))
+        if level is not None:
+            levels.append(level)
+    for name, values in (("work_experience", wk), ("job_age", ages), ("job_level", levels)):
+        assert dists[name].summary == quartiles(values)
+        assert dists[name].histogram == tuple(sorted(Counter(v // 1 for v in values).items()))
+
+
+@given(st.lists(st.fractions(-10**6, 10**6), max_size=30),
+       st.fractions(min_value=Fraction(1, 1200), max_value=10**6),
+       st.lists(st.integers(-5, 5), min_size=2, max_size=10))
+def test_exact_order_sorts_like_fractions(fs, base, offsets):
+    # offsets of 1e-25 vanish in the float of `base`, so these collide
+    close = [base + Fraction(k, 10**25) for k in offsets]
+    assert len({float(v) for v in close}) == 1
+    values = fs + close
+    assert sorted(values, key=exact_order) == sorted(values)
