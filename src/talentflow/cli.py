@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, PipelineConfig, build_config, read_config_file
-from .pipeline import (STAGES, DependencyError, StageFailure, run_pipeline)
+from .pipeline import (STAGES, DependencyError, RunState, StageFailure,
+                       run_pipeline)
 from .synth import SynthSpec, generate, write_profiles_jsonl, write_sidecar
 
 EXIT_OK = 0
@@ -137,21 +138,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_stages(config: PipelineConfig, names: list[str]) -> int:
-    stage_map = dict(STAGES)
-    current = ""
+def _run_stages(config: PipelineConfig, command: str) -> int:
     try:
-        if names == ["all"]:
+        if command == "run":
             manifest = run_pipeline(config)
             counts = manifest["counts"]
             print(f"pipeline complete: {counts['profiles']['total']} profiles, "
                   f"{counts['hops']['total']} hops -> {config.out}")
         else:
-            config.validate(require_input=any(
-                n in ("parse-titles", "extract-hops", "metrics") for n in names))
-            for current in names:
-                stage_map[current](config)
-                print(f"stage {current} complete -> {config.out}")
+            config.validate(require_input=command in (
+                "parse-titles", "extract-hops", "metrics"))
+            dict(STAGES)[command](RunState(config))
+            print(f"stage {command} complete -> {config.out}")
     except ConfigError as exc:
         print(f"talentflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -165,8 +163,7 @@ def _run_stages(config: PipelineConfig, names: list[str]) -> int:
         print(f"talentflow: {exc}", file=sys.stderr)
         return EXIT_STAGE
     except Exception as exc:  # stage invoked directly, outside run_pipeline
-        stage = current or "unknown"
-        print(f"talentflow: stage {stage} failed: {exc}", file=sys.stderr)
+        print(f"talentflow: stage {command} failed: {exc}", file=sys.stderr)
         return EXIT_STAGE
     return EXIT_OK
 
@@ -185,9 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"talentflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "run":
-        return _run_stages(config, ["all"])
-    return _run_stages(config, [args.command])
+    return _run_stages(config, args.command)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 @dataclass(frozen=True, order=True)
@@ -37,7 +37,7 @@ class Month:
         """
         month = _PARSED.get(text) if isinstance(text, str) else None
         if month is None:
-            m = _MONTH_RE.match(text)
+            m = _MONTH_RE.fullmatch(text)
             if not m:
                 raise ValueError(f"not a YYYY-MM month: {text!r}")
             month = _PARSED[text] = cls(int(m.group(1)), int(m.group(2)))

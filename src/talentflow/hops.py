@@ -42,9 +42,9 @@ class Hop:
                 self.dst.organization)
 
 
-def classify_hop(hop: Hop) -> HopKind:
+def classify_hop(src: JobSpell, dst: JobSpell) -> HopKind:
     """External iff the organizations differ."""
-    if hop.src.organization != hop.dst.organization:
+    if src.organization != dst.organization:
         return HopKind.EXTERNAL
     return HopKind.INTERNAL
 
@@ -73,8 +73,8 @@ def extract_hops(profile: PersonProfile, reference_date: Month,
             if dst.start_date != first_start:
                 continue
             dst_title = title_of(dst)
-            same_org = src.organization == dst.organization
-            if same_org and src_title == dst_title:
+            kind = classify_hop(src, dst)
+            if kind is HopKind.INTERNAL and src_title == dst_title:
                 continue  # duplicate listing of the same job
             hops.append(Hop(
                 person_id=profile.person_id,
@@ -82,7 +82,7 @@ def extract_hops(profile: PersonProfile, reference_date: Month,
                 dst=dst,
                 src_title=src_title,
                 dst_title=dst_title,
-                kind=HopKind.INTERNAL if same_org else HopKind.EXTERNAL,
+                kind=kind,
                 duration_of_stay=years_between(src.start_date, end),
             ))
     hops.sort(key=Hop.sort_key)
@@ -94,17 +94,18 @@ class HopCorpus:
     """All hops of a profile set, with normalized titles."""
 
     hops: tuple[Hop, ...]
-    internal_count: int
-    external_count: int
-    normalized_title_counts: dict[str, int]
     retained_titles: frozenset[str]
 
     def __len__(self) -> int:
         return len(self.hops)
 
-    def recount(self) -> tuple[int, int]:
-        internal = sum(1 for h in self.hops if h.kind is HopKind.INTERNAL)
-        return internal, len(self.hops) - internal
+    @property
+    def internal_count(self) -> int:
+        return sum(1 for h in self.hops if h.kind is HopKind.INTERNAL)
+
+    @property
+    def external_count(self) -> int:
+        return len(self.hops) - self.internal_count
 
 
 def build_hop_corpus(profile_set: ProfileSet, norm_map: NormalizationMap,
@@ -116,14 +117,8 @@ def build_hop_corpus(profile_set: ProfileSet, norm_map: NormalizationMap,
     All profiles participate, not only core users. Support is counted on
     normalized titles over spells.
     """
-    normalized_cache: dict[str, str] = {}
-
     def norm(raw_title: str) -> str:
-        hit = normalized_cache.get(raw_title)
-        if hit is None:
-            hit = norm_map.normalize(translate(raw_title))
-            normalized_cache[raw_title] = hit
-        return hit
+        return norm_map.normalize(translate(raw_title))
 
     counts: Counter[str] = Counter()
     for spell in profile_set.all_spells():
@@ -139,14 +134,7 @@ def build_hop_corpus(profile_set: ProfileSet, norm_map: NormalizationMap,
             profile, profile_set.reference_date,
             title_of=lambda s: norm(s.raw_title), spells=surviving))
 
-    internal = sum(1 for h in hops if h.kind is HopKind.INTERNAL)
-    return HopCorpus(
-        hops=tuple(hops),
-        internal_count=internal,
-        external_count=len(hops) - internal,
-        normalized_title_counts=dict(counts),
-        retained_titles=frozenset(retained),
-    )
+    return HopCorpus(hops=tuple(hops), retained_titles=frozenset(retained))
 
 
 HOP_CSV_HEADER = [
@@ -193,12 +181,8 @@ def read_hops_csv(path) -> HopCorpus:
                 kind=HopKind(row["kind"]),
                 duration_of_stay=years_between(src.start_date, src.end_date),
             ))
-    internal = sum(1 for h in hops if h.kind is HopKind.INTERNAL)
     return HopCorpus(
         hops=tuple(hops),
-        internal_count=internal,
-        external_count=len(hops) - internal,
-        normalized_title_counts={},
         retained_titles=frozenset(
             {h.src_title for h in hops} | {h.dst_title for h in hops}),
     )

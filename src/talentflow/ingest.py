@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -281,13 +280,3 @@ def support_filter(counts: Mapping[str, int], min_sup: int) -> set[str]:
     if min_sup < 1:
         raise ValueError(f"min_sup must be >= 1, got {min_sup}")
     return {key for key, n in counts.items() if n >= min_sup}
-
-
-def title_counts(spells: Iterable[JobSpell]) -> Counter:
-    """Occurrences of each raw title, counted over spells (not persons)."""
-    return Counter(s.raw_title for s in spells)
-
-
-def title_support_filter(spells: Iterable[JobSpell], min_sup: int) -> set[str]:
-    """Raw titles occurring at least `min_sup` times across the given spells."""
-    return support_filter(title_counts(spells), min_sup)

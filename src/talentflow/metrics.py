@@ -140,25 +140,16 @@ class JobIndex:
 
     @classmethod
     def build(cls, profile_set: ProfileSet, norm_map: NormalizationMap,
-              translate: Callable[[str], str] = identity,
-              core_only: bool = True) -> "JobIndex":
+              translate: Callable[[str], str] = identity) -> "JobIndex":
         reference = profile_set.reference_date
-        title_cache: dict[str, str] = {}
-
-        def norm(raw: str) -> str:
-            hit = title_cache.get(raw)
-            if hit is None:
-                hit = norm_map.normalize(translate(raw))
-                title_cache[raw] = hit
-            return hit
-
         # (person, title, org) -> (profile, the occupancy as one spell)
         merged: dict[tuple[str, str, str], tuple[PersonProfile, JobSpell]] = {}
         for profile in sorted(profile_set, key=lambda p: p.person_id):
-            if core_only and not is_core_user(profile):
+            if not is_core_user(profile):
                 continue
             for spell in profile.spells:
-                key = (profile.person_id, norm(spell.raw_title), spell.organization)
+                title = norm_map.normalize(translate(spell.raw_title))
+                key = (profile.person_id, title, spell.organization)
                 seen = merged.get(key)
                 if seen is not None:
                     first = seen[1]
@@ -490,22 +481,24 @@ def _histogram(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
+DISTRIBUTION_NAMES = ("skill_count", "work_experience", "job_age", "job_level")
+
+
 def distribution_summaries(profile_set: ProfileSet, idx: JobIndex) -> list[Distribution]:
     """Distributions of skill count, work experience, job age and job
-    level, computed over core users."""
+    level, computed over core users, in `DISTRIBUTION_NAMES` order."""
     skills = [len(p.skills) for p in profile_set if is_core_user(p)]
     wk = _positive_wk_months(idx.holdings)
     ages = [h.age_months for h in idx.holdings if h.age_months is not None]
     levels = list(idx.job_levels.values())
-    return [
-        Distribution("skill_count", _histogram(skills), quartiles(skills)),
-        Distribution("work_experience", _histogram(v // 12 for v in wk),
-                     _in_years(quartiles(wk))),
-        Distribution("job_age", _histogram(v // 12 for v in ages),
-                     _in_years(quartiles(ages))),
-        Distribution("job_level", _histogram(int(v // 1) for v in levels),
-                     quartiles(levels, key=exact_order)),
-    ]
+    parts = (
+        (_histogram(skills), quartiles(skills)),
+        (_histogram(v // 12 for v in wk), _in_years(quartiles(wk))),
+        (_histogram(v // 12 for v in ages), _in_years(quartiles(ages))),
+        (_histogram(int(v // 1) for v in levels), quartiles(levels, key=exact_order)),
+    )
+    return [Distribution(name, *part)
+            for name, part in zip(DISTRIBUTION_NAMES, parts, strict=True)]
 
 
 def _in_years(s: QuartileSummary | None) -> QuartileSummary | None:

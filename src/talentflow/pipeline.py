@@ -1,10 +1,11 @@
 """Batch pipeline stages and the artifact directory layout.
 
-Every stage is a pure function over files: it reads prior-stage artifacts
-from the output directory and (re)writes its own. Running the full
-pipeline is exactly the five stages in order plus a manifest, so staged
-and one-shot runs produce identical artifact bytes. All files are written
-atomically (temp file, then rename).
+A one-shot run hands one `RunState` through the five stages, so the
+profiles, the title normalization map and the hop corpus pass between
+them in memory. A staged subcommand gets a fresh state, which loads them
+from the input and the artifacts of earlier stages; both paths write
+identical artifact bytes. All files are written atomically (temp file,
+then rename).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import platform
 import time
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -26,12 +28,12 @@ from .graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, TailTooSmallError,
                     degree_ccdf, fit_power_law, sparsity, top_k,
                     write_ccdf_csv, write_centrality_csv, write_components_csv,
                     write_graph_csv)
-from .hops import build_hop_corpus, read_hops_csv, write_hops_csv
-from .ingest import (is_core_user, load_profiles, support_filter,
-                     write_rejections)
-from .metrics import (JobIndex, build_cohort_table, build_level_gain_records,
-                      distribution_summaries, promotion_tables,
-                      promotion_vs_duration, write_cohort_csv,
+from .hops import HopCorpus, build_hop_corpus, read_hops_csv, write_hops_csv
+from .ingest import (LoadReport, ProfileSet, is_core_user, load_profiles,
+                     support_filter, write_rejections)
+from .metrics import (DISTRIBUTION_NAMES, JobIndex, build_cohort_table,
+                      build_level_gain_records, distribution_summaries,
+                      promotion_tables, promotion_vs_duration, write_cohort_csv,
                       write_distribution_csv, write_job_levels_csv,
                       write_job_metrics_csv, write_level_gains_csv,
                       write_promotion_table_csv, write_promotion_vs_duration_csv,
@@ -55,6 +57,19 @@ REPORT_JSON = "report.json"
 MANIFEST_JSON = "manifest.json"
 
 CENTRALITY_MEASURES = ("in_degree", "out_degree", "pagerank")
+GRAPH_PREFIXES = ((JOB_MODE, "job"), (ORG_MODE, "org"))
+
+# Every CSV table the stages write; the report reads these and no others.
+REPORTED_CSVS = (
+    REJECTIONS_CSV, NORMALIZATION_CSV, PARSE_ERRORS_CSV, HOPS_CSV,
+    JOB_METRICS_CSV, JOB_LEVELS_CSV, COHORT_CSV, LEVEL_GAINS_CSV,
+    PROMOTION_TABLE_CSV, PROMOTION_VS_DURATION_CSV, QUARTILES_CSV,
+    NETWORK_STATS_CSV, TOP_NODES_CSV,
+    *(f"dist_{name}.csv" for name in DISTRIBUTION_NAMES),
+    *(f"{prefix}_{table}.csv" for _, prefix in GRAPH_PREFIXES
+      for table in ("graph", "centrality", "components",
+                    *(f"{m}_ccdf" for m in CENTRALITY_MEASURES))),
+)
 
 
 class DependencyError(Exception):
@@ -96,28 +111,54 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class RunState:
+    """What the stages of one process share; the data loads on first use.
+
+    A stage that builds the normalization map or the hop corpus stores it
+    here, so the later stages of a one-shot run use it as built; in a
+    fresh state it is loaded from the artifact that the stage before wrote.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.out = Path(config.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+
+    @cached_property
+    def translate(self) -> Callable[[str], str]:
+        return self.config.load_translator()
+
+    @cached_property
+    def loaded(self) -> tuple[ProfileSet, LoadReport]:
+        return load_profiles(self.config.input, self.config.reference_month())
+
+    @cached_property
+    def norm_map(self) -> NormalizationMap:
+        path = _require(self.out / NORMALIZATION_CSV, "talentflow parse-titles")
+        return NormalizationMap.from_csv(path, self.config.load_dictionaries())
+
+    @cached_property
+    def corpus(self) -> HopCorpus:
+        return read_hops_csv(_require(self.out / HOPS_CSV, "talentflow extract-hops"))
+
+    def release_data(self) -> None:
+        """Free the profiles, the map and the corpus for work on artifacts."""
+        for name in ("loaded", "norm_map", "corpus"):
+            self.__dict__.pop(name, None)
 
 
-def _load_input(config: PipelineConfig):
-    return load_profiles(config.input, config.reference_month())
-
-
-def stage_parse_titles(config: PipelineConfig) -> dict:
+def stage_parse_titles(state: RunState) -> dict:
     """Load profiles, build the title normalization map over titles that
     meet the support threshold, and write the map plus error reports."""
-    out = _out_dir(config)
-    dicts = config.load_dictionaries()
-    translate = config.load_translator()
-    profile_set, report = _load_input(config)
+    config, out = state.config, state.out
+    dicts, translate = config.load_dictionaries(), state.translate
+    profile_set, report = state.loaded
     _atomic(out / REJECTIONS_CSV, lambda p: write_rejections(report, p))
 
     counts = Counter(translate(s.raw_title) for s in profile_set.all_spells())
     retained = support_filter(counts, config.title_min_sup)
-    norm_map = build_normalization({t: counts[t] for t in retained}, dicts)
+    norm_map = state.norm_map = build_normalization(
+        {t: counts[t] for t in retained}, dicts)
     _atomic(out / NORMALIZATION_CSV, norm_map.to_csv)
     _atomic(out / PARSE_ERRORS_CSV, norm_map.write_error_report)
 
@@ -143,17 +184,12 @@ def stage_parse_titles(config: PipelineConfig) -> dict:
     }
 
 
-def _load_norm_map(config: PipelineConfig, out: Path) -> NormalizationMap:
-    path = _require(out / NORMALIZATION_CSV, "talentflow parse-titles")
-    return NormalizationMap.from_csv(path, config.load_dictionaries())
-
-
-def stage_extract_hops(config: PipelineConfig) -> dict:
-    out = _out_dir(config)
-    norm_map = _load_norm_map(config, out)
-    translate = config.load_translator()
-    profile_set, _ = _load_input(config)
-    corpus = build_hop_corpus(profile_set, norm_map, config.title_min_sup, translate)
+def stage_extract_hops(state: RunState) -> dict:
+    config, out = state.config, state.out
+    norm_map, translate = state.norm_map, state.translate
+    profile_set, _ = state.loaded
+    corpus = state.corpus = build_hop_corpus(
+        profile_set, norm_map, config.title_min_sup, translate)
     reference = config.reference_month()
     _atomic(out / HOPS_CSV, lambda p: write_hops_csv(corpus, p, reference))
     return {
@@ -166,12 +202,10 @@ def stage_extract_hops(config: PipelineConfig) -> dict:
     }
 
 
-def stage_metrics(config: PipelineConfig) -> dict:
-    out = _out_dir(config)
-    norm_map = _load_norm_map(config, out)
-    corpus = read_hops_csv(_require(out / HOPS_CSV, "talentflow extract-hops"))
-    translate = config.load_translator()
-    profile_set, _ = _load_input(config)
+def stage_metrics(state: RunState) -> dict:
+    config, out = state.config, state.out
+    norm_map, corpus, translate = state.norm_map, state.corpus, state.translate
+    profile_set, _ = state.loaded
 
     idx = JobIndex.build(profile_set, norm_map, translate)
     _atomic(out / JOB_METRICS_CSV, lambda p: write_job_metrics_csv(idx, p))
@@ -210,14 +244,13 @@ def stage_metrics(config: PipelineConfig) -> dict:
     }
 
 
-def stage_graph(config: PipelineConfig) -> dict:
-    out = _out_dir(config)
-    corpus = read_hops_csv(_require(out / HOPS_CSV, "talentflow extract-hops"))
+def stage_graph(state: RunState) -> dict:
+    config, out, corpus = state.config, state.out, state.corpus
 
     stats_rows: list[tuple[str, str, str]] = []
     top_rows: list[tuple[str, str, int, str, str]] = []
     graph_counts = {}
-    for mode, prefix in ((JOB_MODE, "job"), (ORG_MODE, "org")):
+    for mode, prefix in GRAPH_PREFIXES:
         g = build_graph(corpus, mode, config.edge_min_sup)
         _atomic(out / f"{prefix}_graph.csv", lambda p, g=g: write_graph_csv(g, p))
         graph_counts[prefix] = {"nodes": g.node_count, "edges": g.edge_count}
@@ -301,25 +334,29 @@ def stage_graph(config: PipelineConfig) -> dict:
     return {"graphs": graph_counts}
 
 
-def stage_report(config: PipelineConfig) -> dict:
-    """Aggregate every emitted CSV table and power-law summary into one
-    JSON document with plot-ready rows."""
-    out = _out_dir(config)
+def stage_report(state: RunState) -> dict:
+    """Aggregate the pipeline's CSV tables and power-law summaries into one
+    JSON document with plot-ready rows. Other files in the output
+    directory are left out, and artifacts not written are skipped."""
+    state.release_data()  # the report reads only artifacts
+    out = state.out
+    files = sorted(name for name in REPORTED_CSVS if (out / name).exists())
     tables = {}
-    for path in sorted(out.glob("*.csv")):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            tables[path.stem] = list(csv.DictReader(fh))
+    for name in files:
+        with open(out / name, "r", encoding="utf-8", newline="") as fh:
+            tables[name.removesuffix(".csv")] = list(csv.DictReader(fh))
     powerlaw = {}
-    for path in sorted(out.glob("*_powerlaw.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            powerlaw[path.stem.removesuffix("_powerlaw")] = json.load(fh)
-    payload = {"tables": tables, "powerlaw": powerlaw,
-               "files": sorted(p.name for p in out.glob("*.csv"))}
+    for _, prefix in GRAPH_PREFIXES:
+        path = out / f"{prefix}_powerlaw.json"
+        if path.exists():
+            with open(path, "r", encoding="utf-8") as fh:
+                powerlaw[prefix] = json.load(fh)
+    payload = {"tables": tables, "powerlaw": powerlaw, "files": files}
     _write_json(out / REPORT_JSON, payload)
     return {"report": {"tables": len(tables)}}
 
 
-STAGES: tuple[tuple[str, Callable[[PipelineConfig], dict]], ...] = (
+STAGES: tuple[tuple[str, Callable[[RunState], dict]], ...] = (
     ("parse-titles", stage_parse_titles),
     ("extract-hops", stage_extract_hops),
     ("metrics", stage_metrics),
@@ -336,16 +373,17 @@ class StageFailure(Exception):
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run all stages in order and write the manifest. Returns the
-    manifest payload."""
+    """Run all stages in order over one `RunState` and write the manifest.
+    Returns the manifest payload."""
     config.validate()
+    state = RunState(config)
     started = _dt.datetime.now(_dt.timezone.utc)
     counts: dict = {}
     stage_seconds: dict[str, float] = {}
     for name, stage in STAGES:
         t0 = time.perf_counter()
         try:
-            counts.update(stage(config))
+            counts.update(stage(state))
         except (OSError, DependencyError, ConfigError):
             raise
         except Exception as exc:
@@ -364,5 +402,5 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "stage_seconds": stage_seconds,
         },
     }
-    _write_json(Path(config.out) / MANIFEST_JSON, manifest)
+    _write_json(state.out / MANIFEST_JSON, manifest)
     return manifest

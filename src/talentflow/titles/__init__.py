@@ -5,8 +5,7 @@ from .grammar import ParsedTitle, ParseErrorCode, TitleParseError, parse
 from .lexer import (LexicalError, Token, TokenClass, clean_title, reconstruct,
                     tokenize)
 from .normalize import (LEXICAL_ERROR_CODE, Normalized, NormalizationMap,
-                        NormalizationStats, ParseFailure, build_normalization,
-                        normalize_title)
+                        NormalizationStats, ParseFailure, build_normalization)
 from .translate import TranslationTable, TranslationTableError, identity
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "NormalizationStats",
     "ParseFailure",
     "build_normalization",
-    "normalize_title",
     "TranslationTable",
     "TranslationTableError",
     "identity",

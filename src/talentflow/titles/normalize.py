@@ -68,6 +68,7 @@ class NormalizationMap:
         self.parsed_by_title = dict(parsed_by_title)
         self.failures = failures
         self.stats = stats
+        self._normalized: dict[str, str] = {}
 
     def lookup(self, title: str) -> Normalized:
         """Canonical form of a title, with a flag saying whether it is
@@ -85,7 +86,12 @@ class NormalizationMap:
         return Normalized(canonical, True)
 
     def normalize(self, title: str) -> str:
-        return self.lookup(title).title
+        """`lookup(title).title`, memoized per distinct title, since a
+        corpus repeats each title many times."""
+        hit = self._normalized.get(title)
+        if hit is None:
+            hit = self._normalized[title] = self.lookup(title).title
+        return hit
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -178,8 +184,3 @@ def build_normalization(titles_with_counts: Mapping[str, int],
     )
     return NormalizationMap(dicts, canonical_by_key, parsed_by_title,
                             tuple(failures), stats)
-
-
-def normalize_title(title: str, norm_map: NormalizationMap) -> str:
-    """Canonical spelling for known titles, cleaned passthrough otherwise."""
-    return norm_map.normalize(title)

@@ -112,20 +112,60 @@ def test_missing_upstream_artifact_names_file(tmp_path, corpus_file, capsys):
     assert "parse-titles" in err
 
 
-def test_stagewise_equals_one_shot(corpus_file, tmp_path):
-    one_shot = tmp_path / "one"
-    staged = tmp_path / "staged"
-    base = ["--input", str(corpus_file), "--reference-date", REF,
-            "--title-min-sup", "2"]
-    assert run_cli("run", *base, "--out", str(one_shot)) == 0
-    for stage in ("parse-titles", "extract-hops", "metrics", "graph", "report"):
-        assert run_cli(stage, *base, "--out", str(staged)) == 0
+def _hostile_corpus(corpus_file: Path, path: Path) -> Path:
+    """Part of the synthetic corpus plus a null title, a truncated line, an
+    industry conflict and an ongoing source spell whose next spell starts
+    at the reference date."""
+    edu = [{"institution": "U", "degree": "BSc", "grad_date": "2008-06"}]
 
-    one_files = {p.name for p in one_shot.iterdir()} - {"manifest.json"}
-    staged_files = {p.name for p in staged.iterdir()}
-    assert one_files == staged_files
-    for name in sorted(one_files):
-        assert (one_shot / name).read_bytes() == (staged / name).read_bytes(), name
+    def person(person_id, *spells):
+        return json.dumps({"person_id": person_id, "education": edu,
+                           "spells": [{"title": t, "organization": o, "industry": i,
+                                       "start": s, "end": e}
+                                      for t, o, i, s, e in spells],
+                           "skills": ["sql"]})
+
+    lines = corpus_file.read_text(encoding="utf-8").splitlines()[:80] + [
+        person("null-title", (None, "Org0001", "i01", "2012-01", "2013-01"),
+               ("data engineer", "Org0002", "i01", "2013-02", None)),
+        person("truncated", ("data engineer", "Org0003", "i01", "2012-01", None))[:60],
+        person("conflict", ("data engineer", "Org0001", "other", "2010-01", "2011-01"),
+               ("data specialist", "Org0004", "i01", "2011-02", "2012-01")),
+        person("ongoing", ("data engineer", "Org0005", "i01", "2018-03", None),
+               ("research analyst", "Org0006", "i01", REF, None)),
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_stagewise_equals_one_shot(corpus_file, tmp_path):
+    merge = tmp_path / "merge.tsv"
+    merge.write_text("data specialist\tdata engineer\n", encoding="utf-8")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    cases = {
+        "title-min-sup-2": (corpus_file, ["--title-min-sup", "2"]),
+        "no-support-filter": (corpus_file, ["--title-min-sup", "1", "--edge-min-sup", "1"]),
+        "translate-merge": (corpus_file, ["--title-min-sup", "2",
+                                          "--translate-table", str(merge)]),
+        "hostile": (_hostile_corpus(corpus_file, tmp_path / "hostile.jsonl"),
+                    ["--title-min-sup", "1"]),
+        "empty": (empty, []),
+    }
+    for case, (input_path, flags) in cases.items():
+        one_shot = tmp_path / case / "one"
+        staged = tmp_path / case / "staged"
+        base = ["--input", str(input_path), "--reference-date", REF, *flags]
+        assert run_cli("run", *base, "--out", str(one_shot)) == 0, case
+        for stage in ("parse-titles", "extract-hops", "metrics", "graph", "report"):
+            assert run_cli(stage, *base, "--out", str(staged)) == 0, (case, stage)
+
+        one_files = {p.name for p in one_shot.iterdir()} - {"manifest.json"}
+        staged_files = {p.name for p in staged.iterdir()}
+        assert one_files == staged_files, case
+        for name in sorted(one_files):
+            assert (one_shot / name).read_bytes() == (staged / name).read_bytes(), \
+                (case, name)
 
 
 def test_runs_are_byte_identical_modulo_timings(corpus_file, tmp_path):
@@ -207,11 +247,14 @@ def test_translate_table_applied(tmp_path, dicts):
 
 def test_report_aggregates_every_table(corpus_file, tmp_path):
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.csv").write_text("foreign,table\n1,2\n", encoding="utf-8")
     assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
                    "--reference-date", REF) == 0
     report = json.loads((out / "report.json").read_text())
-    csv_stems = {p.stem for p in out.glob("*.csv")}
-    assert set(report["tables"]) == csv_stems
+    written = sorted(p.name for p in out.glob("*.csv") if p.name != "notes.csv")
+    assert report["files"] == written
+    assert set(report["tables"]) == {name.removesuffix(".csv") for name in written}
     assert set(report["powerlaw"]) == {"job", "org"}
     with open(out / "hops.csv", newline="", encoding="utf-8") as fh:
         assert report["tables"]["hops"] == list(csv.DictReader(fh))

@@ -14,7 +14,8 @@ def test_parse_and_str_roundtrip():
     assert Month.parse("2017-03") == Month(2017, 3)
 
 
-@pytest.mark.parametrize("bad", ["2017-13", "2017-00", "17-03", "2017/03", "2017-3", "x"])
+@pytest.mark.parametrize("bad", ["2017-13", "2017-00", "17-03", "2017/03", "2017-3", "x",
+                                 "2017-03\n", "２０１７-03"])
 def test_parse_rejects_malformed(bad):
     for _ in range(2):  # a failed parse is not cached
         with pytest.raises(ValueError):

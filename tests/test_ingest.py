@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 from talentflow.dates import Month
 from talentflow.ingest import (is_core_user, load_profiles, serialize_profiles,
-                               support_filter, title_support_filter,
-                               write_rejections)
+                               support_filter, write_rejections)
 
 from conftest import m, profile, spell
 
@@ -154,8 +154,9 @@ def test_core_user_stable_under_reordering():
 def test_title_support_filter_threshold():
     spells = ([spell("engineer", "A", "i1", "2010-01", "2011-01")] * 12
               + [spell("rare title", "A", "i1", "2010-01", "2011-01")] * 3)
-    assert title_support_filter(spells, 10) == {"engineer"}
-    assert title_support_filter(spells, 1) == {"engineer", "rare title"}
+    counts = Counter(s.raw_title for s in spells)
+    assert support_filter(counts, 10) == {"engineer"}
+    assert support_filter(counts, 1) == {"engineer", "rare title"}
 
 
 def test_support_filter_boundary_inclusive():

@@ -6,8 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentflow.titles import (NormalizationMap, build_normalization,
-                               normalize_title)
+from talentflow.titles import NormalizationMap, build_normalization
 
 FINANCE_MANAGER_VARIANTS = {
     "finance manager": 50,
@@ -132,8 +131,10 @@ def test_unparseable_title_passthrough(dicts):
 
 def test_normalize_title_examples(dicts):
     nmap = build_normalization(FINANCE_MANAGER_VARIANTS, dicts)
-    assert normalize_title("manager - finance", nmap) == "finance manager"
-    assert normalize_title("finance manager", nmap) == "finance manager"
+    for _ in range(2):  # the second pass reads the memo
+        assert nmap.normalize("manager - finance") == "finance manager"
+        assert nmap.normalize("finance manager") == "finance manager"
+        assert nmap.normalize("Strategic Synergy") == "strategic synergy"
 
 
 def test_unseen_variant_with_known_key_still_maps(dicts):
