@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .dates import Month, format_years, months_between, years_between
 from .ingest import (EducationRecord, JobSpell, LoadReport, PersonProfile,
                      ProfileSet, Rejection, is_core_user, load_profiles,
-                     serialize_profiles, support_filter)
+                     support_filter)
 
 __all__ = [
     "__version__",
@@ -27,6 +27,5 @@ __all__ = [
     "Rejection",
     "is_core_user",
     "load_profiles",
-    "serialize_profiles",
     "support_filter",
 ]

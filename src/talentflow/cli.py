@@ -54,7 +54,6 @@ _CONFIG_FLAGS = (
     ("--max-iter", "max_iter", int, "pagerank iteration cap (default 200)"),
     ("--dicts", "dicts", str, "directory with functions/positions/domains dictionaries"),
     ("--translate-table", "translate_table", str, "tab-separated title substitution file"),
-    ("--seed", "seed", int, "random seed (synthetic generation only)"),
     ("--top-k", "top_k", int, "entries per centrality ranking (default 10)"),
 )
 

@@ -30,7 +30,6 @@ class PipelineConfig:
     max_iter: int = 200
     dicts: str | None = None          # directory with functions/positions/domains files
     translate_table: str | None = None
-    seed: int = 0
     top_k: int = 10
 
     def validate(self, require_input: bool = True) -> None:
@@ -84,7 +83,7 @@ class PipelineConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 _INT_FIELDS = {"title_min_sup", "edge_min_sup", "cohort_min_sup", "job_min_sup",
-               "max_iter", "seed", "top_k"}
+               "max_iter", "top_k"}
 _FLOAT_FIELDS = {"damping", "tol"}
 
 

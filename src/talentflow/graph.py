@@ -494,8 +494,12 @@ class CentralityReport:
 
 def build_centrality_report(g: TalentGraph, damping: float = 0.85,
                             tol: float = 1e-10, max_iter: int = 200) -> CentralityReport:
+    """Degree centralities and weighted PageRank of every node. An empty
+    graph gives an empty report (no nodes, converged after 0 iterations)
+    without running PageRank."""
     degrees = degree_centrality(g)
-    pr = weighted_pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
+    pr = (weighted_pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
+          if g.nodes else PageRankResult(scores={}, converged=True, iterations=0))
     return CentralityReport(
         nodes=g.nodes,
         in_degree={v: d[0] for v, d in degrees.items()},

@@ -237,31 +237,6 @@ def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
     return ProfileSet(tuple(profiles), reference_date, org_industry), report
 
 
-def profile_to_dict(p: PersonProfile) -> dict:
-    return {
-        "person_id": p.person_id,
-        "education": [
-            {"institution": e.institution, "degree": e.degree,
-             "grad_date": str(e.grad_date) if e.grad_date is not None else None}
-            for e in p.education
-        ],
-        "spells": [
-            {"title": s.raw_title, "organization": s.organization,
-             "industry": s.industry, "start": str(s.start_date),
-             "end": str(s.end_date) if s.end_date is not None else None}
-            for s in p.spells
-        ],
-        "skills": list(p.skills),
-    }
-
-
-def serialize_profiles(profile_set: ProfileSet, path) -> None:
-    """Write profiles back as JSON Lines; loading the output round-trips."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in profile_set:
-            fh.write(json.dumps(profile_to_dict(p), ensure_ascii=False) + "\n")
-
-
 def write_rejections(report: LoadReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

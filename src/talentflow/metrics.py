@@ -394,9 +394,6 @@ class CohortTable:
             out.append((key, external, internal, self.fraction(key)))
         return out
 
-    def total_counted_hops(self) -> int:
-        return sum(e + i for e, i in self.cells.values())
-
 
 def build_cohort_table(corpus: HopCorpus, profile_set: ProfileSet,
                        min_sup: int = 100,

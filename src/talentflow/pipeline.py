@@ -23,7 +23,8 @@ from typing import Callable
 
 from . import __version__
 from .config import ConfigError, PipelineConfig
-from .graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, TailTooSmallError,
+from .graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, CentralityReport,
+                    ComponentReport, TailTooSmallError, TalentGraph,
                     build_centrality_report, build_graph, connected_components,
                     degree_ccdf, fit_power_law, sparsity, top_k,
                     write_ccdf_csv, write_centrality_csv, write_components_csv,
@@ -57,6 +58,7 @@ REPORT_JSON = "report.json"
 MANIFEST_JSON = "manifest.json"
 
 CENTRALITY_MEASURES = ("in_degree", "out_degree", "pagerank")
+FITTED_MEASURES = ("in_degree", "out_degree")  # power-law fits per graph
 GRAPH_PREFIXES = ((JOB_MODE, "job"), (ORG_MODE, "org"))
 
 # Every CSV table the stages write; the report reads these and no others.
@@ -97,10 +99,12 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic(path, write)
 
 
-def _write_header_only(path: Path, header: list[str]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     def write(p: Path) -> None:
         with open(p, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(header)
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     _atomic(path, write)
 
 
@@ -244,6 +248,41 @@ def stage_metrics(state: RunState) -> dict:
     }
 
 
+def graph_summary(g: TalentGraph, report: CentralityReport,
+                  components: tuple[ComponentReport, ...]) -> tuple[list, dict]:
+    """The `network_stats.csv` rows (metric, value) and the power-law fits
+    of one graph, given its centrality report and its strong and weak
+    components. An empty graph has only its size rows, an empty
+    sparsity, and EMPTY_GRAPH in place of every fit."""
+    rows = [("nodes", str(g.node_count)), ("edges", str(g.edge_count))]
+    if not g.nodes:
+        return (rows + [("sparsity_pct", "")],
+                {m: {"error": "EMPTY_GRAPH"} for m in FITTED_MEASURES})
+    rows.append(("sparsity_pct", repr(sparsity(g))))
+    for label, comp in zip(("scc", "wcc"), components):
+        rows += [
+            (f"{label}_count", str(comp.count)),
+            (f"{label}_largest_size", str(comp.largest_size)),
+            (f"{label}_largest_pct", repr(comp.size_pct(comp.largest_size))),
+            (f"{label}_second_size", str(comp.second_largest_size)),
+            (f"{label}_second_pct", repr(comp.size_pct(comp.second_largest_size))),
+        ]
+    rows += [("pagerank_converged", str(report.pagerank_converged).lower()),
+             ("pagerank_iterations", str(report.pagerank_iterations))]
+
+    fits = {}
+    for measure in FITTED_MEASURES:
+        # node order: the fit sums logs in input order
+        values = [report.measure(measure)[v] for v in report.nodes]
+        try:
+            fit = fit_power_law(values, x_min=1)
+            fits[measure] = {"alpha": fit.alpha, "x_min": fit.x_min,
+                             "n_tail": fit.n_tail}
+        except TailTooSmallError:
+            fits[measure] = {"error": "TAIL_TOO_SMALL"}
+    return rows, fits
+
+
 def stage_graph(state: RunState) -> dict:
     config, out, corpus = state.config, state.out, state.corpus
 
@@ -252,85 +291,32 @@ def stage_graph(state: RunState) -> dict:
     graph_counts = {}
     for mode, prefix in GRAPH_PREFIXES:
         g = build_graph(corpus, mode, config.edge_min_sup)
-        _atomic(out / f"{prefix}_graph.csv", lambda p, g=g: write_graph_csv(g, p))
         graph_counts[prefix] = {"nodes": g.node_count, "edges": g.edge_count}
-        stats_rows.append((prefix, "nodes", str(g.node_count)))
-        stats_rows.append((prefix, "edges", str(g.edge_count)))
-
-        if not g.nodes:
-            _write_header_only(out / f"{prefix}_centrality.csv",
-                               ["node_key", "in_degree", "out_degree", "pagerank"])
-            _write_header_only(out / f"{prefix}_components.csv",
-                               ["component_id", "size", "mode"])
-            for measure in CENTRALITY_MEASURES:
-                _write_header_only(out / f"{prefix}_{measure}_ccdf.csv", ["x", "ccdf"])
-            _write_json(out / f"{prefix}_powerlaw.json",
-                        {m: {"error": "EMPTY_GRAPH"} for m in
-                         ("in_degree", "out_degree")})
-            stats_rows.append((prefix, "sparsity_pct", ""))
-            continue
-
-        stats_rows.append((prefix, "sparsity_pct", repr(sparsity(g))))
         report = build_centrality_report(
             g, damping=config.damping, tol=config.tol, max_iter=config.max_iter)
+        components = (connected_components(g, STRONG), connected_components(g, WEAK))
+        rows, fits = graph_summary(g, report, components)
+        stats_rows += [(prefix, metric, value) for metric, value in rows]
+
+        _atomic(out / f"{prefix}_graph.csv", lambda p: write_graph_csv(g, p))
         _atomic(out / f"{prefix}_centrality.csv",
-                lambda p, r=report: write_centrality_csv(r, p))
-
-        strong = connected_components(g, STRONG)
-        weak = connected_components(g, WEAK)
+                lambda p: write_centrality_csv(report, p))
         _atomic(out / f"{prefix}_components.csv",
-                lambda p, s=strong, w=weak: write_components_csv((s, w), p))
-        for label, comp in (("scc", strong), ("wcc", weak)):
-            stats_rows.append((prefix, f"{label}_count", str(comp.count)))
-            stats_rows.append((prefix, f"{label}_largest_size", str(comp.largest_size)))
-            stats_rows.append((prefix, f"{label}_largest_pct",
-                               repr(comp.size_pct(comp.largest_size))))
-            stats_rows.append((prefix, f"{label}_second_size",
-                               str(comp.second_largest_size)))
-            stats_rows.append((prefix, f"{label}_second_pct",
-                               repr(comp.size_pct(comp.second_largest_size))))
-        stats_rows.append((prefix, "pagerank_converged",
-                           str(report.pagerank_converged).lower()))
-        stats_rows.append((prefix, "pagerank_iterations",
-                           str(report.pagerank_iterations)))
-
-        fits = {}
-        for measure in ("in_degree", "out_degree"):
-            values = [report.measure(measure)[v] for v in report.nodes]
-            try:
-                fit = fit_power_law(values, x_min=1)
-                fits[measure] = {"alpha": fit.alpha, "x_min": fit.x_min,
-                                 "n_tail": fit.n_tail}
-            except TailTooSmallError:
-                fits[measure] = {"error": "TAIL_TOO_SMALL"}
+                lambda p: write_components_csv(components, p))
         _write_json(out / f"{prefix}_powerlaw.json", fits)
-
         for measure in CENTRALITY_MEASURES:
             values = [report.measure(measure)[v] for v in report.nodes]
             positive = [v for v in values if v > 0]
             points = degree_ccdf(positive) if positive else []
             _atomic(out / f"{prefix}_{measure}_ccdf.csv",
-                    lambda p, pts=points: write_ccdf_csv(pts, p))
+                    lambda p: write_ccdf_csv(points, p))
+            top_rows += [(prefix, measure, rank, node, repr(float(score)))
+                         for rank, (node, score) in enumerate(
+                             top_k(report, measure, config.top_k), start=1)]
 
-        for measure in CENTRALITY_MEASURES:
-            for rank, (node, score) in enumerate(
-                    top_k(report, measure, config.top_k), start=1):
-                top_rows.append((prefix, measure, rank, node, repr(float(score))))
-
-    def write_stats(p: Path) -> None:
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["graph", "metric", "value"])
-            writer.writerows(stats_rows)
-    _atomic(out / NETWORK_STATS_CSV, write_stats)
-
-    def write_top(p: Path) -> None:
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["graph", "measure", "rank", "node_key", "score"])
-            writer.writerows(top_rows)
-    _atomic(out / TOP_NODES_CSV, write_top)
-
+    _write_csv(out / NETWORK_STATS_CSV, ["graph", "metric", "value"], stats_rows)
+    _write_csv(out / TOP_NODES_CSV,
+               ["graph", "measure", "rank", "node_key", "score"], top_rows)
     return {"graphs": graph_counts}
 
 

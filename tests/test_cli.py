@@ -143,6 +143,9 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
     merge.write_text("data specialist\tdata engineer\n", encoding="utf-8")
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
+    one_org = tmp_path / "one_org.jsonl"  # job graph non-empty, org graph empty
+    assert run_cli("synth", "--out", str(one_org), "--persons", "300",
+                   "--organizations", "1", "--seed", "3") == 0
     cases = {
         "title-min-sup-2": (corpus_file, ["--title-min-sup", "2"]),
         "no-support-filter": (corpus_file, ["--title-min-sup", "1", "--edge-min-sup", "1"]),
@@ -151,6 +154,7 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
         "hostile": (_hostile_corpus(corpus_file, tmp_path / "hostile.jsonl"),
                     ["--title-min-sup", "1"]),
         "empty": (empty, []),
+        "one-org": (one_org, ["--title-min-sup", "1"]),
     }
     for case, (input_path, flags) in cases.items():
         one_shot = tmp_path / case / "one"
@@ -166,6 +170,16 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
         for name in sorted(one_files):
             assert (one_shot / name).read_bytes() == (staged / name).read_bytes(), \
                 (case, name)
+
+    out = tmp_path / "one-org" / "one"
+    with open(out / "network_stats.csv", newline="", encoding="utf-8") as fh:
+        stats = list(csv.reader(fh))
+    assert [row for row in stats if row[0] == "org"] == [
+        ["org", "nodes", "0"], ["org", "edges", "0"], ["org", "sparsity_pct", ""]]
+    assert ["job", "nodes", "0"] not in stats
+    assert any(row[:2] == ["job", "scc_count"] for row in stats)
+    assert json.loads((out / "org_powerlaw.json").read_text(encoding="utf-8")) == {
+        "in_degree": {"error": "EMPTY_GRAPH"}, "out_degree": {"error": "EMPTY_GRAPH"}}
 
 
 def test_runs_are_byte_identical_modulo_timings(corpus_file, tmp_path):
@@ -261,9 +275,11 @@ def test_report_aggregates_every_table(corpus_file, tmp_path):
 
 
 def test_cli_usage_error_exits_one(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--no-such-flag"])
-    assert excinfo.value.code == 1
+    # --seed belongs to synth only; the pipeline subcommands reject it
+    for argv in (["run", "--no-such-flag"], ["run", "--seed", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy():

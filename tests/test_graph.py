@@ -486,3 +486,18 @@ def test_top_k_ties_broken_by_node_key():
     report = build_centrality_report(g)
     tied = top_k(report, "out_degree", 3)  # a and c both have out-degree 1
     assert [v for v, _ in tied] == ["a", "c", "b"]
+
+
+def test_empty_graph_api():
+    g = TalentGraph(mode=JOB_MODE, nodes=(), edges={})
+    with pytest.raises(ValueError):
+        weighted_pagerank(g)
+    with pytest.raises(ValueError):
+        sparsity(g)
+    report = build_centrality_report(g)
+    assert report.nodes == ()
+    assert report.in_degree == report.out_degree == report.pagerank == {}
+    assert report.pagerank_converged and report.pagerank_iterations == 0
+    for mode in (STRONG, WEAK):
+        assert connected_components(g, mode).count == 0
+    assert top_k(report, "pagerank", 3) == []

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talentflow.dates import Month
-from talentflow.ingest import (is_core_user, load_profiles, serialize_profiles,
-                               support_filter, write_rejections)
+from talentflow.ingest import (is_core_user, load_profiles, support_filter,
+                               write_rejections)
 
 from conftest import m, profile, spell
 
@@ -185,7 +185,21 @@ def test_load_serialize_load_roundtrip(tmp_path):
     ]
     ps1, _ = _load(tmp_path, lines)
     out = tmp_path / "round.jsonl"
-    serialize_profiles(ps1, out)
+    with open(out, "w", encoding="utf-8") as fh:
+        for p in ps1:
+            fh.write(json.dumps({
+                "person_id": p.person_id,
+                "education": [
+                    {"institution": e.institution, "degree": e.degree,
+                     "grad_date": str(e.grad_date) if e.grad_date is not None else None}
+                    for e in p.education],
+                "spells": [
+                    {"title": s.raw_title, "organization": s.organization,
+                     "industry": s.industry, "start": str(s.start_date),
+                     "end": str(s.end_date) if s.end_date is not None else None}
+                    for s in p.spells],
+                "skills": list(p.skills),
+            }, ensure_ascii=False) + "\n")
     ps2, report = load_profiles(out, REF)
     assert report.rejections == []
     assert ps1 == ps2
