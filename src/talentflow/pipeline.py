@@ -320,26 +320,85 @@ def stage_graph(state: RunState) -> dict:
     return {"graphs": graph_counts}
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # C string encoder
+
+
+def _nested_json(value) -> str:
+    """`value` as `_write_json` lays it out, one level deeper."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True,
+                      indent=2).replace("\n", "\n  ")
+
+
+def _write_report_table(fh, path: Path) -> None:
+    """Write the rows of the CSV table at `path` to `fh` as the JSON array
+    `json.dumps` writes for `list(csv.DictReader(...))` at the depth of a
+    report table, one row at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as src:
+        reader = csv.reader(src)
+        header = next(reader, [])
+        if len(set(header)) < len(header):
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             f"header repeats a column name")
+        # a str.format template for one row object, keys in sorted order;
+        # argument i is the encoded field i
+        fields = ",\n".join(
+            "        " + _encode(header[i]).replace("{", "{{").replace("}", "}}")
+            + f": {{{i}}}"
+            for i in sorted(range(len(header)), key=header.__getitem__))
+        template = "      {{\n" + fields + "\n      }}"
+        separator = "[\n"
+        for row in reader:
+            if not row:
+                continue  # a blank line is no row
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
+            # a list, not map(): each tuple built from an iterator of unknown
+            # length is resized and then parked in the interpreter's free list
+            fh.write(separator + template.format(*[_encode(v) for v in row]))
+            separator = ",\n"
+    fh.write("[]" if separator == "[\n" else "\n    ]")
+
+
 def stage_report(state: RunState) -> dict:
     """Aggregate the pipeline's CSV tables and power-law summaries into one
     JSON document with plot-ready rows. Other files in the output
-    directory are left out, and artifacts not written are skipped."""
+    directory are left out, and artifacts not written are skipped.
+
+    `report.json` holds the bytes of
+    `json.dumps({"files": [...], "powerlaw": {...}, "tables": {...}},
+    ensure_ascii=False, sort_keys=True, indent=2) + "\\n"`, where each
+    table, keyed by its file name without `.csv`, is
+    `list(csv.DictReader(...))` of that file. It is written one row at a
+    time, so no table is held in memory. Blank lines are skipped, and an
+    empty or header-only file is `[]`. A row with more or fewer fields
+    than the header, or a header that repeats a column name, raises
+    `ValueError` naming the file and line, and any earlier `report.json`
+    is left as it was."""
     state.release_data()  # the report reads only artifacts
     out = state.out
     files = sorted(name for name in REPORTED_CSVS if (out / name).exists())
-    tables = {}
-    for name in files:
-        with open(out / name, "r", encoding="utf-8", newline="") as fh:
-            tables[name.removesuffix(".csv")] = list(csv.DictReader(fh))
     powerlaw = {}
     for _, prefix in GRAPH_PREFIXES:
         path = out / f"{prefix}_powerlaw.json"
         if path.exists():
             with open(path, "r", encoding="utf-8") as fh:
                 powerlaw[prefix] = json.load(fh)
-    payload = {"tables": tables, "powerlaw": powerlaw, "files": files}
-    _write_json(out / REPORT_JSON, payload)
-    return {"report": {"tables": len(tables)}}
+
+    def write(p: Path) -> None:
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(f'{{\n  "files": {_nested_json(files)},\n'
+                     f'  "powerlaw": {_nested_json(powerlaw)},\n  "tables": {{')
+            # key order is by stem, which can differ from file order:
+            # "dist_a-b.csv" < "dist_a.csv" but "dist_a" < "dist_a-b"
+            separator = "\n"
+            for name in sorted(files, key=lambda n: n.removesuffix(".csv")):
+                fh.write(f"{separator}    {_encode(name.removesuffix('.csv'))}: ")
+                _write_report_table(fh, out / name)
+                separator = ",\n"
+            fh.write("}\n}\n" if not files else "\n  }\n}\n")
+    _atomic(out / REPORT_JSON, write)
+    return {"report": {"tables": len(files)}}
 
 
 STAGES: tuple[tuple[str, Callable[[RunState], dict]], ...] = (

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import csv
+import json
+from pathlib import Path
+
 import pytest
 
+from talentflow import pipeline
 from talentflow.dates import Month
 from talentflow.ingest import (EducationRecord, JobSpell, PersonProfile,
                                ProfileSet)
@@ -37,3 +42,19 @@ def profile_set(profiles, reference: str = "2020-01") -> ProfileSet:
 @pytest.fixture(scope="session")
 def dicts() -> TitleDictionaries:
     return TitleDictionaries.bundled()
+
+
+def report_reference(out: Path) -> bytes:
+    """The bytes `report.json` must have for the artifacts in `out`: every
+    reported table as `csv.DictReader` rows, through `json.dumps`."""
+    files = sorted(name for name in pipeline.REPORTED_CSVS if (out / name).exists())
+    tables = {}
+    for name in files:
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            tables[name.removesuffix(".csv")] = list(csv.DictReader(fh))
+    powerlaw = {prefix: json.loads(path.read_text(encoding="utf-8"))
+                for prefix in ("job", "org")
+                if (path := out / f"{prefix}_powerlaw.json").exists()}
+    payload = {"files": files, "powerlaw": powerlaw, "tables": tables}
+    return (json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+            + "\n").encode("utf-8")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import report_reference
 from talentflow.cli import main
 
 REF = "2020-01"
@@ -170,6 +171,7 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
         for name in sorted(one_files):
             assert (one_shot / name).read_bytes() == (staged / name).read_bytes(), \
                 (case, name)
+        assert (one_shot / "report.json").read_bytes() == report_reference(one_shot), case
 
     out = tmp_path / "one-org" / "one"
     with open(out / "network_stats.csv", newline="", encoding="utf-8") as fh:
@@ -272,6 +274,35 @@ def test_report_aggregates_every_table(corpus_file, tmp_path):
     assert set(report["powerlaw"]) == {"job", "org"}
     with open(out / "hops.csv", newline="", encoding="utf-8") as fh:
         assert report["tables"]["hops"] == list(csv.DictReader(fh))
+
+
+def _damage_hops(rows: list[list[str]], damage: str) -> None:
+    if damage == "short-row":
+        rows[2] = rows[2][:-1]
+    elif damage == "long-row":
+        rows[2] = rows[2] + ["extra"]
+    else:  # a header that repeats a column name
+        rows[0][1] = rows[0][0]
+
+
+@pytest.mark.parametrize("damage, line", [
+    ("short-row", 3), ("long-row", 3), ("repeated-column", 1)])
+def test_report_rejects_malformed_table(corpus_file, tmp_path, capsys, damage, line):
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
+                   "--reference-date", REF) == 0
+    before = (out / "report.json").read_bytes()
+    with open(out / "hops.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    _damage_hops(rows, damage)
+    with open(out / "hops.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+
+    assert run_cli("report", "--out", str(out), "--reference-date", REF) == 3
+    assert f"hops.csv: line {line}:" in capsys.readouterr().err
+    assert not (out / "report.json.tmp").exists()
+    assert (out / "report.json").read_bytes() == before
 
 
 def test_cli_usage_error_exits_one(capsys):

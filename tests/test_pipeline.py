@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import csv
+import json
+import tempfile
+import tracemalloc
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import report_reference
 from talentflow import pipeline
 from talentflow.config import PipelineConfig
-from talentflow.pipeline import _atomic
+from talentflow.pipeline import RunState, _atomic, stage_report
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 
 
@@ -50,3 +59,75 @@ def test_one_shot_run_reads_input_once_and_no_artifact_back(tmp_path, monkeypatc
                                          reference_date="2020-01", title_min_sup=1))
     assert calls == {"load_profiles": 1}
     assert (tmp_path / "out" / "report.json").exists()
+
+
+# Sorted as file names "a-b.csv" < "a.csv" < "a_b.csv", but as table keys
+# "a" < "a-b" < "a_b".
+TABLE_NAMES = ("a-b.csv", "a.csv", "a_b.csv", "hops.csv", "\u00e9t\u00e9.csv")
+# Keys whose order as str differs from their order as encoded JSON ("a" and
+# "a b", "a\x1f") or as UTF-16 ("\ue000" and "\U0001f600").
+KEYS = st.one_of(st.sampled_from(["a", "a b", "a\x1f", "\ue000", "\U0001f600", ""]),
+                 st.text(max_size=4))
+# NUL is left out: csv on Python 3.10 rejects it in both readers.
+VALUES = st.one_of(
+    st.sampled_from(["", '"', "\\", "\n", "\r\n", "\t\x7f\x1b", "\U0001f600", "\u2028"]),
+    st.text(st.characters(exclude_characters="\x00"), max_size=6))
+
+
+@st.composite
+def csv_tables(draw):
+    """File name -> None (an empty file) or (header, rows), where a row of
+    None is a blank line."""
+    names = draw(st.lists(st.sampled_from(TABLE_NAMES), unique=True, max_size=4))
+    result = {}
+    for name in names:
+        if draw(st.integers(0, 3)) == 0:
+            result[name] = None
+            continue
+        header = draw(st.lists(KEYS, unique=True, max_size=4))
+        row = st.lists(VALUES, min_size=len(header), max_size=len(header))
+        result[name] = (header, draw(st.lists(st.one_of(st.none(), row), max_size=4)))
+    return result
+
+
+FIT = st.one_of(
+    st.fixed_dictionaries({"alpha": st.floats(1, 5), "x_min": st.integers(1, 9),
+                           "n_tail": st.integers(0, 99)}),
+    st.fixed_dictionaries({"error": st.sampled_from(["EMPTY_GRAPH", "TAIL_TOO_SMALL"])}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables(), st.dictionaries(st.sampled_from(["job", "org"]),
+                                     st.fixed_dictionaries({"in_degree": FIT,
+                                                            "out_degree": FIT})))
+def test_streamed_report_equals_json_dumps(tables, powerlaw):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pipeline, "REPORTED_CSVS", TABLE_NAMES):
+        out = Path(tmp)
+        for name, table in tables.items():
+            with open(out / name, "w", encoding="utf-8", newline="") as fh:
+                if table is not None:
+                    header, rows = table
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows(row or [] for row in rows)
+        for prefix, fits in powerlaw.items():
+            (out / f"{prefix}_powerlaw.json").write_text(json.dumps(fits), encoding="utf-8")
+        stage_report(RunState(PipelineConfig(out=tmp)))
+        assert (out / "report.json").read_bytes() == report_reference(out)
+
+
+def test_report_holds_no_table_in_memory(tmp_path):
+    corpus = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl(generate(SynthSpec(persons=300, seed=3)).profiles, corpus)
+    config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
+                            reference_date="2020-01", title_min_sup=1)
+    pipeline.run_pipeline(config)
+    state = RunState(config)
+    tracemalloc.start()
+    try:
+        stage_report(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "out" / "report.json").stat().st_size / 4
