@@ -145,8 +145,7 @@ def _run_stages(config: PipelineConfig, command: str) -> int:
             print(f"pipeline complete: {counts['profiles']['total']} profiles, "
                   f"{counts['hops']['total']} hops -> {config.out}")
         else:
-            config.validate(require_input=command in (
-                "parse-titles", "extract-hops", "metrics"))
+            config.validate()
             dict(STAGES)[command](RunState(config))
             print(f"stage {command} complete -> {config.out}")
     except ConfigError as exc:

@@ -32,9 +32,7 @@ class PipelineConfig:
     translate_table: str | None = None
     top_k: int = 10
 
-    def validate(self, require_input: bool = True) -> None:
-        if require_input and not self.input:
-            raise ConfigError("input path is required")
+    def validate(self) -> None:
         if not self.out:
             raise ConfigError("output directory is required")
         for name in ("title_min_sup", "edge_min_sup", "cohort_min_sup", "job_min_sup"):

@@ -9,13 +9,13 @@ adjacency sparsity, CCDFs and a discrete power-law exponent fit.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .artifacts import write_csv
 from .hops import HopCorpus
 
 JOB_MODE = "job"
@@ -520,34 +520,21 @@ def top_k(report: CentralityReport, measure: str, k: int) -> list[tuple[str, flo
 
 
 def write_graph_csv(g: TalentGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src_key", "dst_key", "weight"])
-        for (src, dst) in sorted(g.edges):
-            writer.writerow([src, dst, g.edges[(src, dst)]])
+    write_csv(path, ["src_key", "dst_key", "weight"],
+              ((src, dst, g.edges[(src, dst)]) for (src, dst) in sorted(g.edges)))
 
 
 def write_centrality_csv(report: CentralityReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_key", "in_degree", "out_degree", "pagerank"])
-        for v in report.nodes:
-            writer.writerow([v, report.in_degree[v], report.out_degree[v],
-                             repr(report.pagerank[v])])
+    write_csv(path, ["node_key", "in_degree", "out_degree", "pagerank"],
+              ((v, report.in_degree[v], report.out_degree[v], repr(report.pagerank[v]))
+               for v in report.nodes))
 
 
 def write_components_csv(reports: Iterable[ComponentReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component_id", "size", "mode"])
-        for report in reports:
-            for cid, component in enumerate(report.components):
-                writer.writerow([cid, len(component), report.mode])
+    write_csv(path, ["component_id", "size", "mode"],
+              ((cid, len(component), report.mode) for report in reports
+               for cid, component in enumerate(report.components)))
 
 
 def write_ccdf_csv(points: Sequence[tuple[int, Fraction]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "ccdf"])
-        for x, p in points:
-            writer.writerow([x, repr(float(p))])
+    write_csv(path, ["x", "ccdf"], ((x, repr(float(p))) for x, p in points))

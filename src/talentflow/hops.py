@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .artifacts import write_csv
 from .dates import Month, format_years, years_between
 from .ingest import JobSpell, PersonProfile, ProfileSet, support_filter
 from .titles import NormalizationMap, identity
@@ -146,19 +147,13 @@ HOP_CSV_HEADER = [
 
 def write_hops_csv(corpus: HopCorpus, path, reference_date: Month) -> None:
     """Hop export; ongoing spells are written with their resolved end."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HOP_CSV_HEADER)
-        for h in corpus.hops:
-            writer.writerow([
-                h.person_id,
-                h.src_title, h.src.organization, h.src.industry,
-                str(h.src.start_date), str(h.src.resolved_end(reference_date)),
-                h.dst_title, h.dst.organization, h.dst.industry,
-                str(h.dst.start_date), str(h.dst.resolved_end(reference_date)),
-                h.kind.value,
-                format_years(h.duration_of_stay),
-            ])
+    write_csv(path, HOP_CSV_HEADER, ((
+        h.person_id, h.src_title, h.src.organization, h.src.industry,
+        str(h.src.start_date), str(h.src.resolved_end(reference_date)),
+        h.dst_title, h.dst.organization, h.dst.industry,
+        str(h.dst.start_date), str(h.dst.resolved_end(reference_date)),
+        h.kind.value, format_years(h.duration_of_stay),
+    ) for h in corpus.hops))
 
 
 def read_hops_csv(path) -> HopCorpus:

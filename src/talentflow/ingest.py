@@ -8,19 +8,22 @@ Input is JSON Lines, one profile object per line:
                  "start": "YYYY-MM", "end": "YYYY-MM" | null}],
      "skills": ["...", ...]}
 
-Malformed lines are rejected and reported with their line number; they
-never abort a load. Each organization is bound to the industry it was
-first seen with; later conflicts are logged and rewritten.
+String fields must be JSON strings of valid Unicode text; an absent or
+null field reads as empty, so a required one is then missing. Malformed
+lines (invalid UTF-8, bad or too deeply nested JSON, a bad field) are
+rejected and reported with their line number; they never abort a load.
+Each organization is bound to the industry it was first seen with; later
+conflicts are logged and rewritten.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .artifacts import write_csv
 from .dates import Month
 
 logger = logging.getLogger(__name__)
@@ -106,11 +109,25 @@ class ProfileSet:
             yield from p.spells
 
 
+def _text(value, name: str) -> str:
+    """A string field, stripped; "" when absent or null. Anything but a
+    string that encodes to UTF-8 (no lone surrogate) raises ValueError."""
+    if isinstance(value, str):
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{name} is not valid Unicode text") from None
+        return value.strip()
+    if value is None:
+        return ""
+    raise ValueError(f"{name} is not a string")
+
+
 def _clean_skills(raw, report: LoadReport, person_id: str) -> tuple[str, ...]:
     seen: set[str] = set()
     out: list[str] = []
-    for s in raw:
-        name = str(s).strip()
+    for name in raw:
         if not name or name in seen:
             continue
         seen.add(name)
@@ -131,8 +148,8 @@ def _parse_education(raw) -> tuple[EducationRecord, ...]:
         grad = entry.get("grad_date")
         grad_date = Month.parse(grad) if grad is not None else None
         records.append(EducationRecord(
-            institution=str(entry.get("institution", "")).strip(),
-            degree=str(entry.get("degree", "")).strip(),
+            institution=_text(entry.get("institution"), "institution"),
+            degree=_text(entry.get("degree"), "degree"),
             grad_date=grad_date,
         ))
     return tuple(records)
@@ -141,9 +158,9 @@ def _parse_education(raw) -> tuple[EducationRecord, ...]:
 def _parse_spell(entry) -> JobSpell:
     if not isinstance(entry, dict):
         raise ValueError("spell entry is not an object")
-    title = str(entry.get("title", "")).strip()
-    organization = str(entry.get("organization", "")).strip()
-    industry = str(entry.get("industry", "")).strip()
+    title = _text(entry.get("title"), "title")
+    organization = _text(entry.get("organization"), "organization")
+    industry = _text(entry.get("industry"), "industry")
     if not title:
         raise ValueError("spell missing title")
     if not organization:
@@ -173,12 +190,13 @@ def _list_field(obj, name) -> list:
 def _parse_profile(obj) -> PersonProfile:
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
-    person_id = str(obj.get("person_id", "")).strip()
+    person_id = _text(obj.get("person_id"), "person_id")
     if not person_id:
         raise ValueError("missing or empty person_id")
     education = _parse_education(_list_field(obj, "education"))
     spells = tuple(_parse_spell(e) for e in _list_field(obj, "spells"))
-    return PersonProfile(person_id, education, spells, tuple(_list_field(obj, "skills")))
+    skills = tuple(_text(s, "skill") for s in _list_field(obj, "skills"))
+    return PersonProfile(person_id, education, spells, skills)
 
 
 def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
@@ -186,21 +204,25 @@ def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
 
     Returns the profile set plus a report of rejected lines, skill
     truncations and organization/industry conflicts. An unreadable file
-    raises OSError; a malformed line only rejects that line.
+    raises OSError; a malformed line only rejects that line. Lines end at
+    LF, CR or CRLF, and a line of only whitespace is skipped.
     """
     report = LoadReport()
     profiles: list[PersonProfile] = []
     seen_ids: set[str] = set()
     org_industry: dict[str, str] = {}
 
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate; its line is
+    # rejected with the decode error below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                profile = _parse_profile(obj)
-            except (ValueError, TypeError) as exc:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                profile = _parse_profile(json.loads(line))
+            except (ValueError, TypeError, RecursionError) as exc:
                 report.reject(line_no, str(exc))
                 continue
             if profile.person_id in seen_ids:
@@ -238,11 +260,8 @@ def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
 
 
 def write_rejections(report: LoadReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line_no", "reason"])
-        for r in report.rejections:
-            writer.writerow([r.line_no, r.reason])
+    write_csv(path, ["line_no", "reason"],
+              ((r.line_no, r.reason) for r in report.rejections))
 
 
 def is_core_user(p: PersonProfile) -> bool:

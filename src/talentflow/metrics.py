@@ -9,7 +9,6 @@ gain or a quartile interpolation, and rendered as a decimal on export.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .artifacts import write_csv
 from .dates import Month, format_years, months_between
 from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
@@ -49,21 +49,6 @@ def job_age_months(spell: JobSpell, reference_date: Month) -> int | None:
     return age
 
 
-def _years(months: int | None) -> Fraction | None:
-    return None if months is None else Fraction(months, 12)
-
-
-def work_experience(profile: PersonProfile, spell: JobSpell,
-                    reference_date: Month) -> Fraction | None:
-    """`work_experience_months` in years."""
-    return _years(work_experience_months(profile, spell, reference_date))
-
-
-def job_age(spell: JobSpell, reference_date: Month) -> Fraction | None:
-    """`job_age_months` in years."""
-    return _years(job_age_months(spell, reference_date))
-
-
 def _mean_years(total_months: int, n: int) -> Fraction | None:
     return Fraction(total_months, 12 * n) if n else None
 
@@ -84,14 +69,6 @@ class JobHolding:
     end: Month
     wk_months: int | None
     age_months: int | None
-
-    @property
-    def wk_exp(self) -> Fraction | None:
-        return _years(self.wk_months)
-
-    @property
-    def job_age(self) -> Fraction | None:
-        return _years(self.age_months)
 
 
 def _positive_wk_months(holdings: Iterable[JobHolding]) -> list[int]:
@@ -512,95 +489,70 @@ def _fmt(value: Fraction | None) -> str:
 
 def write_job_metrics_csv(idx: JobIndex, path) -> None:
     """Per (title, industry): holder counts and average experience / age."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["title", "industry", "holdings", "positive_experience_holdings",
-                         "avg_work_experience", "avg_job_age"])
-        for (title, industry) in sorted(idx.by_title_industry):
-            writer.writerow([
-                title, industry, len(idx.by_title_industry[(title, industry)]),
-                idx.experience_months[(title, industry)][1],
-                _fmt(avg_work_experience(title, industry, idx)),
-                _fmt(avg_job_age(title, industry, idx)),
-            ])
+    write_csv(path, ["title", "industry", "holdings", "positive_experience_holdings",
+                     "avg_work_experience", "avg_job_age"], ((
+        title, industry, len(idx.by_title_industry[(title, industry)]),
+        idx.experience_months[(title, industry)][1],
+        _fmt(avg_work_experience(title, industry, idx)),
+        _fmt(avg_job_age(title, industry, idx)),
+    ) for (title, industry) in sorted(idx.by_title_industry)))
 
 
 def write_job_levels_csv(idx: JobIndex, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["title", "organization", "holders", "job_level"])
-        for (title, org) in sorted(idx.by_title_org):
-            writer.writerow([title, org, job_support(title, org, idx),
-                             _fmt(job_level(title, org, idx))])
+    write_csv(path, ["title", "organization", "holders", "job_level"],
+              ((title, org, job_support(title, org, idx),
+                _fmt(job_level(title, org, idx)))
+               for (title, org) in sorted(idx.by_title_org)))
 
 
 def write_cohort_csv(table: CohortTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wk_exp_bin", "job_age_bin", "skill_bin",
-                         "external_hops", "internal_hops",
-                         "external_fraction", "suppressed"])
-        for key, external, internal, fraction in table.rows():
-            suppressed = fraction is None
-            writer.writerow([key.wk_exp_bin, key.job_age_bin, key.skill_bin,
-                             external, internal, _fmt(fraction),
-                             str(suppressed).lower()])
+    write_csv(path, ["wk_exp_bin", "job_age_bin", "skill_bin", "external_hops",
+                     "internal_hops", "external_fraction", "suppressed"],
+              ((key.wk_exp_bin, key.job_age_bin, key.skill_bin,
+                external, internal, _fmt(fraction), str(fraction is None).lower())
+               for key, external, internal, fraction in table.rows()))
 
 
 def write_level_gains_csv(records: Iterable[LevelGainRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "src_title", "src_org", "dst_title", "dst_org",
-                         "kind", "duration_of_stay", "src_level", "dst_level",
-                         "gain", "label", "reason"])
-        for r in records:
-            writer.writerow([
-                r.hop.person_id, r.hop.src_title, r.hop.src.organization,
-                r.hop.dst_title, r.hop.dst.organization, r.hop.kind.value,
-                format_years(r.hop.duration_of_stay),
-                _fmt(r.src_level), _fmt(r.dst_level), _fmt(r.gain),
-                r.label.value, r.reason or "",
-            ])
+    write_csv(path, ["person_id", "src_title", "src_org", "dst_title", "dst_org",
+                     "kind", "duration_of_stay", "src_level", "dst_level",
+                     "gain", "label", "reason"], ((
+        r.hop.person_id, r.hop.src_title, r.hop.src.organization,
+        r.hop.dst_title, r.hop.dst.organization, r.hop.kind.value,
+        format_years(r.hop.duration_of_stay),
+        _fmt(r.src_level), _fmt(r.dst_level), _fmt(r.gain),
+        r.label.value, r.reason or "",
+    ) for r in records))
 
 
 def write_promotion_table_csv(table: PromotionTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "promotions", "demotions", "total"])
-        writer.writerow(["external", table.external_promotions,
-                         table.external_demotions, table.external_total])
-        writer.writerow(["internal", table.internal_promotions,
-                         table.internal_demotions, table.internal_total])
-        writer.writerow(["total", table.promotions_total,
-                         table.demotions_total, table.total])
+    write_csv(path, ["kind", "promotions", "demotions", "total"], (
+        ("external", table.external_promotions,
+         table.external_demotions, table.external_total),
+        ("internal", table.internal_promotions,
+         table.internal_demotions, table.internal_total),
+        ("total", table.promotions_total, table.demotions_total, table.total),
+    ))
 
 
 def write_promotion_vs_duration_csv(cells: Iterable[DurationBinCell], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["duration_bin", "kind", "promotions", "total",
-                         "p_promotion", "suppressed"])
-        for c in cells:
-            writer.writerow([c.duration_bin, c.kind.value, c.promotions, c.total,
-                             _fmt(c.fraction), str(c.suppressed).lower()])
+    write_csv(path, ["duration_bin", "kind", "promotions", "total",
+                     "p_promotion", "suppressed"],
+              ((c.duration_bin, c.kind.value, c.promotions, c.total,
+                _fmt(c.fraction), str(c.suppressed).lower()) for c in cells))
 
 
 def write_distribution_csv(dist: Distribution, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count"])
-        for bin_low, count in dist.histogram:
-            writer.writerow([bin_low, count])
+    write_csv(path, ["bin", "count"], dist.histogram)
+
+
+def _quartile_row(d: Distribution) -> tuple:
+    s = d.summary
+    if s is None:
+        return (d.name, 0, "", "", "", "", "")
+    return (d.name, s.count, *map(_fmt, (s.minimum, s.q1, s.median, s.q3, s.maximum)))
 
 
 def write_quartiles_csv(distributions: Iterable[Distribution], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "count", "min", "q1", "median", "q3", "max"])
-        for d in distributions:
-            if d.summary is None:
-                writer.writerow([d.name, 0, "", "", "", "", ""])
-            else:
-                s = d.summary
-                writer.writerow([d.name, s.count, _fmt(s.minimum), _fmt(s.q1),
-                                 _fmt(s.median), _fmt(s.q3), _fmt(s.maximum)])
+    write_csv(path, ["metric", "count", "min", "q1", "median", "q3", "max"],
+              map(_quartile_row, distributions))

@@ -4,8 +4,9 @@ A one-shot run hands one `RunState` through the five stages, so the
 profiles, the title normalization map and the hop corpus pass between
 them in memory. A staged subcommand gets a fresh state, which loads them
 from the input and the artifacts of earlier stages; both paths write
-identical artifact bytes. All files are written atomically (temp file,
-then rename).
+identical artifact bytes. Every artifact is written atomically (temp
+file, then rename) by `talentflow.artifacts`; the JSON layouts of the
+power-law summaries, the manifest and the report are defined here.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
-import os
 import platform
 import time
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__
+from .artifacts import write_csv, write_text
 from .config import ConfigError, PipelineConfig
 from .graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, CentralityReport,
                     ComponentReport, TailTooSmallError, TalentGraph,
@@ -78,34 +79,12 @@ class DependencyError(Exception):
     """A required upstream artifact is missing."""
 
 
-def _atomic(path: Path, write_fn: Callable[[Path], None]) -> None:
-    """Write via `write_fn` to a temp file, then rename it over `path`. On
-    any failure, interruption included, the temp file is removed and
-    `path` is left as it was."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _json(value) -> str:
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    def write(p: Path) -> None:
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-            fh.write("\n")
-    _atomic(path, write)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    def write(p: Path) -> None:
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    _atomic(path, write)
+    write_text(path, (_json(payload), "\n"))
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -134,6 +113,8 @@ class RunState:
 
     @cached_property
     def loaded(self) -> tuple[ProfileSet, LoadReport]:
+        if not self.config.input:
+            raise ConfigError("input path is required")
         return load_profiles(self.config.input, self.config.reference_month())
 
     @cached_property
@@ -157,14 +138,14 @@ def stage_parse_titles(state: RunState) -> dict:
     config, out = state.config, state.out
     dicts, translate = config.load_dictionaries(), state.translate
     profile_set, report = state.loaded
-    _atomic(out / REJECTIONS_CSV, lambda p: write_rejections(report, p))
+    write_rejections(report, out / REJECTIONS_CSV)
 
     counts = Counter(translate(s.raw_title) for s in profile_set.all_spells())
     retained = support_filter(counts, config.title_min_sup)
     norm_map = state.norm_map = build_normalization(
         {t: counts[t] for t in retained}, dicts)
-    _atomic(out / NORMALIZATION_CSV, norm_map.to_csv)
-    _atomic(out / PARSE_ERRORS_CSV, norm_map.write_error_report)
+    norm_map.to_csv(out / NORMALIZATION_CSV)
+    norm_map.write_error_report(out / PARSE_ERRORS_CSV)
 
     stats = norm_map.stats
     return {
@@ -190,12 +171,12 @@ def stage_parse_titles(state: RunState) -> dict:
 
 def stage_extract_hops(state: RunState) -> dict:
     config, out = state.config, state.out
-    norm_map, translate = state.norm_map, state.translate
     profile_set, _ = state.loaded
+    norm_map, translate = state.norm_map, state.translate
     corpus = state.corpus = build_hop_corpus(
         profile_set, norm_map, config.title_min_sup, translate)
     reference = config.reference_month()
-    _atomic(out / HOPS_CSV, lambda p: write_hops_csv(corpus, p, reference))
+    write_hops_csv(corpus, out / HOPS_CSV, reference)
     return {
         "hops": {
             "total": len(corpus),
@@ -208,29 +189,27 @@ def stage_extract_hops(state: RunState) -> dict:
 
 def stage_metrics(state: RunState) -> dict:
     config, out = state.config, state.out
-    norm_map, corpus, translate = state.norm_map, state.corpus, state.translate
     profile_set, _ = state.loaded
+    norm_map, corpus, translate = state.norm_map, state.corpus, state.translate
 
     idx = JobIndex.build(profile_set, norm_map, translate)
-    _atomic(out / JOB_METRICS_CSV, lambda p: write_job_metrics_csv(idx, p))
-    _atomic(out / JOB_LEVELS_CSV, lambda p: write_job_levels_csv(idx, p))
+    write_job_metrics_csv(idx, out / JOB_METRICS_CSV)
+    write_job_levels_csv(idx, out / JOB_LEVELS_CSV)
 
     records = build_level_gain_records(corpus, idx, config.job_min_sup)
-    _atomic(out / LEVEL_GAINS_CSV, lambda p: write_level_gains_csv(records, p))
+    write_level_gains_csv(records, out / LEVEL_GAINS_CSV)
     table = promotion_tables(records)
-    _atomic(out / PROMOTION_TABLE_CSV, lambda p: write_promotion_table_csv(table, p))
+    write_promotion_table_csv(table, out / PROMOTION_TABLE_CSV)
     duration_cells = promotion_vs_duration(records, config.job_min_sup)
-    _atomic(out / PROMOTION_VS_DURATION_CSV,
-            lambda p: write_promotion_vs_duration_csv(duration_cells, p))
+    write_promotion_vs_duration_csv(duration_cells, out / PROMOTION_VS_DURATION_CSV)
 
     cohorts = build_cohort_table(corpus, profile_set, config.cohort_min_sup)
-    _atomic(out / COHORT_CSV, lambda p: write_cohort_csv(cohorts, p))
+    write_cohort_csv(cohorts, out / COHORT_CSV)
 
     distributions = distribution_summaries(profile_set, idx)
     for dist in distributions:
-        _atomic(out / f"dist_{dist.name}.csv",
-                lambda p, d=dist: write_distribution_csv(d, p))
-    _atomic(out / QUARTILES_CSV, lambda p: write_quartiles_csv(distributions, p))
+        write_distribution_csv(dist, out / f"dist_{dist.name}.csv")
+    write_quartiles_csv(distributions, out / QUARTILES_CSV)
 
     return {
         "metrics": {
@@ -298,25 +277,22 @@ def stage_graph(state: RunState) -> dict:
         rows, fits = graph_summary(g, report, components)
         stats_rows += [(prefix, metric, value) for metric, value in rows]
 
-        _atomic(out / f"{prefix}_graph.csv", lambda p: write_graph_csv(g, p))
-        _atomic(out / f"{prefix}_centrality.csv",
-                lambda p: write_centrality_csv(report, p))
-        _atomic(out / f"{prefix}_components.csv",
-                lambda p: write_components_csv(components, p))
+        write_graph_csv(g, out / f"{prefix}_graph.csv")
+        write_centrality_csv(report, out / f"{prefix}_centrality.csv")
+        write_components_csv(components, out / f"{prefix}_components.csv")
         _write_json(out / f"{prefix}_powerlaw.json", fits)
         for measure in CENTRALITY_MEASURES:
             values = [report.measure(measure)[v] for v in report.nodes]
             positive = [v for v in values if v > 0]
             points = degree_ccdf(positive) if positive else []
-            _atomic(out / f"{prefix}_{measure}_ccdf.csv",
-                    lambda p: write_ccdf_csv(points, p))
+            write_ccdf_csv(points, out / f"{prefix}_{measure}_ccdf.csv")
             top_rows += [(prefix, measure, rank, node, repr(float(score)))
                          for rank, (node, score) in enumerate(
                              top_k(report, measure, config.top_k), start=1)]
 
-    _write_csv(out / NETWORK_STATS_CSV, ["graph", "metric", "value"], stats_rows)
-    _write_csv(out / TOP_NODES_CSV,
-               ["graph", "measure", "rank", "node_key", "score"], top_rows)
+    write_csv(out / NETWORK_STATS_CSV, ["graph", "metric", "value"], stats_rows)
+    write_csv(out / TOP_NODES_CSV,
+              ["graph", "measure", "rank", "node_key", "score"], top_rows)
     return {"graphs": graph_counts}
 
 
@@ -325,14 +301,13 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode  # C string encoder
 
 def _nested_json(value) -> str:
     """`value` as `_write_json` lays it out, one level deeper."""
-    return json.dumps(value, ensure_ascii=False, sort_keys=True,
-                      indent=2).replace("\n", "\n  ")
+    return _json(value).replace("\n", "\n  ")
 
 
-def _write_report_table(fh, path: Path) -> None:
-    """Write the rows of the CSV table at `path` to `fh` as the JSON array
-    `json.dumps` writes for `list(csv.DictReader(...))` at the depth of a
-    report table, one row at a time."""
+def _report_table(path: Path) -> Iterator[str]:
+    """The CSV table at `path` as the JSON array `json.dumps` writes for
+    `list(csv.DictReader(...))` at the depth of a report table, one row at
+    a time."""
     with open(path, "r", encoding="utf-8", newline="") as src:
         reader = csv.reader(src)
         header = next(reader, [])
@@ -355,9 +330,23 @@ def _write_report_table(fh, path: Path) -> None:
                                  f"fields, the header has {len(header)}")
             # a list, not map(): each tuple built from an iterator of unknown
             # length is resized and then parked in the interpreter's free list
-            fh.write(separator + template.format(*[_encode(v) for v in row]))
+            yield separator + template.format(*[_encode(v) for v in row])
             separator = ",\n"
-    fh.write("[]" if separator == "[\n" else "\n    ]")
+    yield "[]" if separator == "[\n" else "\n    ]"
+
+
+def _report_json(out: Path, files: list[str], powerlaw: dict) -> Iterator[str]:
+    """`report.json` in pieces, each table streamed from its file."""
+    yield (f'{{\n  "files": {_nested_json(files)},\n'
+           f'  "powerlaw": {_nested_json(powerlaw)},\n  "tables": {{')
+    # key order is by stem, which can differ from file order:
+    # "dist_a-b.csv" < "dist_a.csv" but "dist_a" < "dist_a-b"
+    separator = "\n"
+    for name in sorted(files, key=lambda n: n.removesuffix(".csv")):
+        yield f"{separator}    {_encode(name.removesuffix('.csv'))}: "
+        yield from _report_table(out / name)
+        separator = ",\n"
+    yield "}\n}\n" if not files else "\n  }\n}\n"
 
 
 def stage_report(state: RunState) -> dict:
@@ -384,20 +373,7 @@ def stage_report(state: RunState) -> dict:
         if path.exists():
             with open(path, "r", encoding="utf-8") as fh:
                 powerlaw[prefix] = json.load(fh)
-
-    def write(p: Path) -> None:
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write(f'{{\n  "files": {_nested_json(files)},\n'
-                     f'  "powerlaw": {_nested_json(powerlaw)},\n  "tables": {{')
-            # key order is by stem, which can differ from file order:
-            # "dist_a-b.csv" < "dist_a.csv" but "dist_a" < "dist_a-b"
-            separator = "\n"
-            for name in sorted(files, key=lambda n: n.removesuffix(".csv")):
-                fh.write(f"{separator}    {_encode(name.removesuffix('.csv'))}: ")
-                _write_report_table(fh, out / name)
-                separator = ",\n"
-            fh.write("}\n}\n" if not files else "\n  }\n}\n")
-    _atomic(out / REPORT_JSON, write)
+    write_text(out / REPORT_JSON, _report_json(out, files, powerlaw))
     return {"report": {"tables": len(files)}}
 
 

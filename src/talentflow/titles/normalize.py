@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
+from ..artifacts import write_csv
 from .dictionaries import TitleDictionaries
 from .grammar import ParsedTitle, TitleParseError, parse
 from .lexer import LexicalError, clean_title, tokenize
@@ -94,22 +95,13 @@ class NormalizationMap:
         return hit
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["raw_title", "canonical_title", "primary_function",
-                             "domains", "positions", "secondary_function",
-                             "additional_info"])
-            for title in sorted(self.parsed_by_title):
-                parsed = self.parsed_by_title[title]
-                writer.writerow([
-                    title,
-                    self.canonical_by_key[parsed.key()],
-                    parsed.primary_function,
-                    ";".join(parsed.domain),
-                    ";".join(parsed.position),
-                    parsed.secondary_function or "",
-                    parsed.additional_info or "",
-                ])
+        write_csv(path, ["raw_title", "canonical_title", "primary_function",
+                         "domains", "positions", "secondary_function",
+                         "additional_info"], ((
+            title, self.canonical_by_key[parsed.key()], parsed.primary_function,
+            ";".join(parsed.domain), ";".join(parsed.position),
+            parsed.secondary_function or "", parsed.additional_info or "",
+        ) for title, parsed in sorted(self.parsed_by_title.items())))
 
     @classmethod
     def from_csv(cls, path, dicts: TitleDictionaries) -> "NormalizationMap":
@@ -129,11 +121,9 @@ class NormalizationMap:
         return cls(dicts, canonical_by_key, parsed_by_title)
 
     def write_error_report(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["raw_title", "count", "error_code"])
-            for f in sorted(self.failures, key=lambda f: f.title):
-                writer.writerow([f.title, f.count, f.error_code])
+        write_csv(path, ["raw_title", "count", "error_code"],
+                  ((f.title, f.count, f.error_code)
+                   for f in sorted(self.failures, key=lambda f: f.title)))
 
 
 def build_normalization(titles_with_counts: Mapping[str, int],

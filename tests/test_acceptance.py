@@ -29,7 +29,7 @@ from talentflow.metrics import (GainLabel, JobIndex, avg_job_age,
                                 avg_work_experience, build_cohort_table,
                                 build_level_gain_records, job_level,
                                 job_support, promotion_tables,
-                                promotion_vs_duration, work_experience)
+                                promotion_vs_duration, work_experience_months)
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
@@ -194,12 +194,12 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
         grads = [e.grad_date for e in p.education if e.grad_date is not None]
         grad = max(grads) if grads else None
         for s in p.spells:
-            got_wk = work_experience(p, s, reference)
+            got_wk = work_experience_months(p, s, reference)
             if grad is None:
                 assert got_wk is None
                 continue
             end = s.end_date if s.end_date is not None else reference
-            assert rel(float(got_wk), (end.ordinal - grad.ordinal) / 12.0)
+            assert got_wk == end.ordinal - grad.ordinal
             scanned += 1
     assert scanned > 5000
 

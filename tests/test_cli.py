@@ -56,7 +56,7 @@ def test_manifest_counts_match_artifact_recounts(corpus_file, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
                    "--reference-date", REF, "--title-min-sup", "2") == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     counts = manifest["counts"]
 
     with open(corpus_file, encoding="utf-8") as fh:
@@ -80,12 +80,12 @@ def test_manifest_counts_match_artifact_recounts(corpus_file, tmp_path):
 
 def test_empty_input_is_graceful(tmp_path):
     empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
+    empty.write_text("", encoding="utf-8")
     out = tmp_path / "out"
     code = run_cli("run", "--input", str(empty), "--out", str(out),
                    "--reference-date", REF)
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["counts"]["profiles"]["total"] == 0
     assert manifest["counts"]["hops"]["total"] == 0
     assert (out / "report.json").exists()
@@ -111,6 +111,18 @@ def test_missing_upstream_artifact_names_file(tmp_path, corpus_file, capsys):
     err = capsys.readouterr().err
     assert "normalization_map.csv" in err
     assert "parse-titles" in err
+
+
+def test_input_is_required_by_the_stages_that_read_it(tmp_path, corpus_file, capsys):
+    out = tmp_path / "out"
+    for command in ("run", "parse-titles", "extract-hops", "metrics"):
+        assert run_cli(command, "--out", str(out), "--reference-date", REF) == 1, command
+        assert "input path is required" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
+                   "--reference-date", REF) == 0
+    for command in ("graph", "report"):  # these read only artifacts
+        assert run_cli(command, "--out", str(out)) == 0, command
 
 
 def _hostile_corpus(corpus_file: Path, path: Path) -> Path:
@@ -211,7 +223,7 @@ def test_config_file_with_flag_override(corpus_file, tmp_path):
     code = run_cli("run", "--config", str(cfg), "--out", str(out),
                    "--edge-min-sup", "1")
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["title_min_sup"] == 2   # from file
     assert manifest["config"]["edge_min_sup"] == 1    # flag wins
 
@@ -267,7 +279,7 @@ def test_report_aggregates_every_table(corpus_file, tmp_path):
     (out / "notes.csv").write_text("foreign,table\n1,2\n", encoding="utf-8")
     assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
                    "--reference-date", REF) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     written = sorted(p.name for p in out.glob("*.csv") if p.name != "notes.csv")
     assert report["files"] == written
     assert set(report["tables"]) == {name.removesuffix(".csv") for name in written}
@@ -320,5 +332,5 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
     probe = ("import sys, talentflow.cli; "
              "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, encoding="utf-8", check=True)
     assert done.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talentflow.dates import Month
@@ -80,6 +82,13 @@ def test_duplicate_person_id_rejected(tmp_path):
     (lambda r: r["education"][0].__setitem__("grad_date", "junk"), "YYYY-MM"),
     (lambda r: r.__setitem__("skills", "python"), "array"),
     (lambda r: r.__setitem__("spells", {"title": "x"}), "array"),
+    (lambda r: r.__setitem__("person_id", None), "missing or empty person_id"),
+    (lambda r: r["spells"][0].__setitem__("title", None), "missing title"),
+    (lambda r: r["spells"][0].__setitem__("title", 123), "title is not a string"),
+    (lambda r: r["spells"][0].__setitem__("organization", "org \ud800"),
+     "organization is not valid Unicode"),
+    (lambda r: r["education"][0].__setitem__("degree", ["BSc"]), "degree"),
+    (lambda r: r.__setitem__("skills", [{"k": 1}]), "skill"),
 ])
 def test_schema_violations_reject_record(tmp_path, mutate, reason_part):
     record = json.loads(_valid_line())
@@ -88,6 +97,72 @@ def test_schema_violations_reject_record(tmp_path, mutate, reason_part):
     assert len(ps) == 0
     assert len(report.rejections) == 1
     assert reason_part in report.rejections[0].reason
+
+
+def _load_bytes(tmp_path, data: bytes):
+    path = tmp_path / "profiles.jsonl"
+    path.write_bytes(data)
+    return load_profiles(path, REF)
+
+
+def test_invalid_utf8_and_deep_nesting_are_rejected_not_fatal(tmp_path):
+    bad_byte = _valid_line("p2").encode().replace(b"engineer", b"engin\xffer")
+    deep = b"[" * 100_000 + b"]" * 100_000
+    data = b"\n".join([_valid_line("p1").encode(), bad_byte, deep,
+                       _valid_line("p3").encode()]) + b"\n"
+    ps, report = _load_bytes(tmp_path, data)
+    assert [p.person_id for p in ps] == ["p1", "p3"]
+    assert [r.line_no for r in report.rejections] == [2, 3]
+    assert "utf-8" in report.rejections[0].reason
+    assert "recursion" in report.rejections[1].reason
+
+
+def test_lines_end_at_lf_cr_or_crlf(tmp_path):
+    data = "\r".join([_valid_line("p1"), "oops", _valid_line("p2")]) + "\r\n \u3000\n{"
+    ps, report = _load_bytes(tmp_path, data.encode())
+    assert [p.person_id for p in ps] == ["p1", "p2"]
+    assert [r.line_no for r in report.rejections] == [2, 5]  # line 4 is blank
+
+
+def _is_blank(line: bytes) -> bool:
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+_FIELDS = st.sampled_from(["person_id", "education", "spells", "skills", "title",
+                           "organization", "industry", "start", "end", "grad_date",
+                           "institution", "degree"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+            | st.text(max_size=6) | st.sampled_from(["p1", "2010-01", "2012-01", "\ud800"]))
+_JSON_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_FIELDS, inner, max_size=5), max_leaves=16)
+# one line each: arbitrary bytes, or any JSON value (shaped like a profile
+# often enough to reach the field checks), or a valid profile
+_LINES = st.one_of(
+    st.binary(max_size=12).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.sampled_from(["p1", "p2"]).map(lambda pid: _valid_line(pid).encode()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=8))
+def test_load_never_raises_and_accounts_for_every_line(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        ps, report = _load_bytes(Path(tmp), b"\n".join(lines) + b"\n")
+    non_blank = [n for n, line in enumerate(lines, start=1) if not _is_blank(line)]
+    assert report.loaded == len(ps)
+    assert report.loaded + len(report.rejections) == len(non_blank)
+    assert {r.line_no for r in report.rejections} <= set(non_blank)
+    for p in ps:
+        texts = [p.person_id, *p.skills]
+        texts += [t for e in p.education for t in (e.institution, e.degree)]
+        texts += [t for s in p.spells for t in (s.raw_title, s.organization, s.industry)]
+        for text in texts:
+            assert isinstance(text, str)
+            text.encode("utf-8")
 
 
 def test_skills_trimmed_deduped_truncated(tmp_path):
@@ -125,7 +200,7 @@ def test_rejection_report_csv(tmp_path):
     _, report = _load(tmp_path, ["oops"])
     out = tmp_path / "rej.csv"
     write_rejections(report, out)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "line_no,reason"
     assert lines[1].startswith("1,")
 

@@ -16,10 +16,10 @@ from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, J
                                 avg_job_age, avg_work_experience,
                                 build_cohort_table, build_level_gain_records,
                                 cohort_key_for, distribution_summaries,
-                                exact_order, job_age, job_level,
+                                exact_order, job_age_months, job_level,
                                 job_support, level_gain, promotion_tables,
                                 promotion_vs_duration, quartiles,
-                                work_experience)
+                                work_experience_months)
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
@@ -31,28 +31,28 @@ REF = Month(2020, 1)
 def test_work_experience_arithmetic():
     p = profile("p", [], grad="2010-06")
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience(p, s, REF) == 3
+    assert work_experience_months(p, s, REF) == 36
 
     same_month = spell("engineer", "Acme", "i1", "2015-01", "2015-01")
     p2 = profile("p", [], grad="2015-01")
-    assert work_experience(p2, same_month, REF) == 0
+    assert work_experience_months(p2, same_month, REF) == 0
 
     p3 = profile("p", [], grad="2016-01")
-    assert work_experience(p3, same_month, REF) == -1
+    assert work_experience_months(p3, same_month, REF) == -12
 
 
 def test_work_experience_unavailable_without_grad():
     p = profile("p", [], grad=None)
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience(p, s, REF) is None
+    assert work_experience_months(p, s, REF) is None
 
 
 def test_job_age_arithmetic(caplog):
     s = spell("engineer", "Acme", "i1", "2015-01", None)
-    assert job_age(s, Month(2017, 1)) == 2
+    assert job_age_months(s, Month(2017, 1)) == 24
     future = spell("engineer", "Acme", "i1", "2021-06", None)
     with caplog.at_level("WARNING"):
-        assert job_age(future, REF) is None
+        assert job_age_months(future, REF) is None
     assert "reference date" in caplog.text
 
 
@@ -109,7 +109,7 @@ def test_index_merges_duplicate_person_job(dicts):
     h = idx.holdings[0]
     assert str(h.start) == "2011-01"
     assert str(h.end) == "2014-01"
-    assert h.wk_exp == 4
+    assert h.wk_months == 48
 
 
 def test_index_uses_core_users_only(dicts):
@@ -487,11 +487,10 @@ def test_shift_invariance_of_levels_and_gains(dicts):
 
 def test_quartiles_match_numpy_oracle(synth_setup):
     ps, nmap, idx, _ = synth_setup
-    values = [float(h.wk_exp) for h in idx.holdings
-              if h.wk_exp is not None and h.wk_exp > 0]
-    s = quartiles([h.wk_exp for h in idx.holdings
-                   if h.wk_exp is not None and h.wk_exp > 0])
-    expected = np.percentile(np.array(values), [0, 25, 50, 75, 100])
+    wk = [Fraction(h.wk_months, 12) for h in idx.holdings
+          if h.wk_months is not None and h.wk_months > 0]
+    s = quartiles(wk)
+    expected = np.percentile(np.array([float(v) for v in wk]), [0, 25, 50, 75, 100])
     got = [float(s.minimum), float(s.q1), float(s.median), float(s.q3), float(s.maximum)]
     assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
@@ -518,7 +517,12 @@ def _scan_mean(values):
 
 
 def _scan_positive_wk(holdings):
-    return [h.wk_exp for h in holdings if h.wk_exp is not None and h.wk_exp > 0]
+    return [Fraction(h.wk_months, 12) for h in holdings
+            if h.wk_months is not None and h.wk_months > 0]
+
+
+def _scan_ages(holdings):
+    return [Fraction(h.age_months, 12) for h in holdings if h.age_months is not None]
 
 
 @given(_holdings)
@@ -528,7 +532,7 @@ def test_aggregates_match_full_scan_fraction_means(holdings):
         for industry in ("i1", "i2"):
             group = [h for h in holdings if (h.title, h.industry) == (title, industry)]
             wk = _scan_positive_wk(group)
-            ages = [h.job_age for h in group if h.job_age is not None]
+            ages = _scan_ages(group)
             assert avg_work_experience(title, industry, idx) == _scan_mean(wk)
             assert avg_job_age(title, industry, idx) == _scan_mean(ages)
         for org in ("o1", "o2"):
@@ -544,7 +548,7 @@ def test_month_summaries_match_fraction_quartiles(holdings):
     dists = {d.name: d for d in
              distribution_summaries(ProfileSet((), REF, {}), idx)}
     wk = _scan_positive_wk(holdings)
-    ages = [h.job_age for h in holdings if h.job_age is not None]
+    ages = _scan_ages(holdings)
     levels = []
     for key in {(h.title, h.organization) for h in holdings}:
         level = _scan_mean(_scan_positive_wk(

@@ -5,6 +5,7 @@ import json
 import tempfile
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -12,10 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import report_reference
+from conftest import m, report_reference, spell
 from talentflow import pipeline
+from talentflow.artifacts import write_atomic
 from talentflow.config import PipelineConfig
-from talentflow.pipeline import RunState, _atomic, stage_report
+from talentflow.graph import write_ccdf_csv
+from talentflow.hops import Hop, HopCorpus, HopKind, write_hops_csv
+from talentflow.ingest import LoadReport, Rejection, write_rejections
+from talentflow.metrics import GainLabel, LevelGainRecord, write_level_gains_csv
+from talentflow.pipeline import RunState, stage_report
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 
 
@@ -31,12 +37,43 @@ def test_atomic_failure_leaves_no_temp_file_and_keeps_target(tmp_path, old):
     if old is not None:
         target.write_text(old, encoding="utf-8")
     with pytest.raises(OSError, match="disk full"):
-        _atomic(target, _partial_then_fail)
+        write_atomic(target, _partial_then_fail)
     assert list(tmp_path.glob("*.tmp")) == []
     if old is None:
         assert not target.exists()
     else:
         assert target.read_text(encoding="utf-8") == old
+
+
+def _one_then_fail(item):
+    yield item
+    raise OSError("disk full")
+
+
+_HOP = Hop("p1", spell("analyst", "OrgA", "i1", "2010-01", "2012-01"),
+           spell("manager", "OrgB", "i1", "2012-01", None),
+           "analyst", "manager", HopKind.EXTERNAL, Fraction(2))
+
+# Each writer gets a row source that fails after its first row.
+FAILING_WRITERS = {
+    "write_rejections": lambda p: write_rejections(
+        LoadReport(rejections=_one_then_fail(Rejection(3, "bad line"))), p),
+    "write_hops_csv": lambda p: write_hops_csv(
+        HopCorpus(_one_then_fail(_HOP), frozenset()), p, m("2020-01")),
+    "write_level_gains_csv": lambda p: write_level_gains_csv(_one_then_fail(
+        LevelGainRecord(_HOP, None, None, None, GainLabel.UNSUPPORTED, "low_support")), p),
+    "write_ccdf_csv": lambda p: write_ccdf_csv(_one_then_fail((1, Fraction(1, 2))), p),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_WRITERS)
+def test_writer_failure_keeps_target_and_leaves_no_temp_file(tmp_path, name):
+    target = tmp_path / "table.csv"
+    target.write_text("old,bytes\n", encoding="utf-8")
+    with pytest.raises(OSError, match="disk full"):
+        FAILING_WRITERS[name](target)
+    assert target.read_text(encoding="utf-8") == "old,bytes\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_one_shot_run_reads_input_once_and_no_artifact_back(tmp_path, monkeypatch):

@@ -65,7 +65,7 @@ def test_sidecar_variants_map_to_single_canonical(tmp_path, dicts):
     spec = SynthSpec(persons=250, seed=13, title_classes=10, variant_rate=0.5,
                      typo_rate=0.3, paren_rate=0.0, junk_rate=0.0)
     path, sidecar_path, result = _write(tmp_path, spec)
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
 
     ps, _ = load_profiles(path, Month.parse(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())
@@ -79,7 +79,7 @@ def test_sidecar_variants_map_to_single_canonical(tmp_path, dicts):
 def test_sidecar_member_counts_match_file(tmp_path):
     spec = SynthSpec(persons=120, seed=21)
     path, sidecar_path, _ = _write(tmp_path, spec)
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     from talentflow.titles.lexer import clean_title
     file_counts = Counter()
     with open(path, encoding="utf-8") as fh:
@@ -98,7 +98,7 @@ def test_sidecar_member_counts_match_file(tmp_path):
 def test_sidecar_hops_match_pipeline_extraction(tmp_path, dicts):
     spec = SynthSpec(persons=200, seed=33)
     path, sidecar_path, _ = _write(tmp_path, spec)
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
 
     ps, _ = load_profiles(path, Month.parse(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())

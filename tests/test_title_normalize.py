@@ -215,6 +215,6 @@ def test_csv_roundtrip(tmp_path, dicts):
 
     errors = tmp_path / "errors.csv"
     nmap.write_error_report(errors)
-    lines = errors.read_text().splitlines()
+    lines = errors.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "raw_title,count,error_code"
     assert any("zzz qqq" in line and "NO_PRIMARY_FUNCTION" in line for line in lines)
