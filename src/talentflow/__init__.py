@@ -8,7 +8,7 @@ talent-flow networks at the job and organization level.
 
 __version__ = "0.1.0"
 
-from .dates import Month, format_years, months_between, years_between
+from .dates import Month, format_years, months_between
 from .ingest import (EducationRecord, JobSpell, LoadReport, PersonProfile,
                      ProfileSet, Rejection, is_core_user, load_profiles,
                      support_filter)
@@ -18,7 +18,6 @@ __all__ = [
     "Month",
     "format_years",
     "months_between",
-    "years_between",
     "EducationRecord",
     "JobSpell",
     "LoadReport",

@@ -1,8 +1,9 @@
 """Calendar-month dates and exact duration arithmetic.
 
-All profile dates are month-granular. Durations are exact rationals
-(months / 12) so that means and comparisons are reproducible across
-platforms; they are converted to decimal only when written out.
+All profile dates are month-granular, and durations are integer month
+counts. Where a year value is needed (a mean, a gain, a quartile) it is
+an exact `Fraction` of months / 12, so results are reproducible across
+platforms; it is converted to decimal only when written out.
 """
 
 from __future__ import annotations
@@ -60,15 +61,12 @@ def months_between(start: Month, end: Month) -> int:
     return end.ordinal - start.ordinal
 
 
-def years_between(start: Month, end: Month) -> Fraction:
-    """Signed duration in years as an exact rational."""
-    return Fraction(months_between(start, end), 12)
-
-
 def format_years(value: Fraction | float) -> str:
     """Render a duration (or any ratio) as a decimal string.
 
     Uses repr of the float value, which is the shortest string that
-    round-trips, so output bytes are stable across runs.
+    round-trips, so output bytes are stable across runs. A month count
+    `m` is passed as `m / 12`: int division is correctly rounded, so it
+    renders as the exact `Fraction(m, 12)` would.
     """
     return repr(float(value))

@@ -4,7 +4,9 @@ A hop is a move between two non-overlapping spells of one person. Each
 spell hops to the spell(s) with the earliest start date at or after its
 end; overlapping spells are treated as side activities and never form
 hops. A move that keeps both the organization and the normalized title
-is a duplicate listing, not a hop.
+is a duplicate listing, not a hop. Ongoing spells were closed at the
+reference date on load, and a hop's stay in its source spell is kept in
+integer months.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .artifacts import write_csv
-from .dates import Month, format_years, years_between
-from .ingest import JobSpell, PersonProfile, ProfileSet, support_filter
+from .dates import Month, format_years, months_between
+from .ingest import JobSpell, ProfileSet, support_filter
 from .titles import NormalizationMap, identity
 
 
@@ -35,7 +36,7 @@ class Hop:
     src_title: str
     dst_title: str
     kind: HopKind
-    duration_of_stay: Fraction
+    stay_months: int  # from the source spell's start to its end
 
     def sort_key(self) -> tuple:
         return (self.person_id, self.src.start_date, self.dst.start_date,
@@ -50,22 +51,13 @@ def classify_hop(src: JobSpell, dst: JobSpell) -> HopKind:
     return HopKind.INTERNAL
 
 
-def extract_hops(profile: PersonProfile, reference_date: Month,
-                 title_of: Callable[[JobSpell], str] | None = None,
-                 spells: Sequence[JobSpell] | None = None) -> list[Hop]:
-    """All hops of one person.
-
-    `title_of` supplies the normalized title per spell (defaults to the
-    raw title). `spells` restricts extraction to a subset of the
-    profile's spells, e.g. after support filtering.
-    """
-    if title_of is None:
-        title_of = lambda s: s.raw_title
-    pool = list(profile.spells if spells is None else spells)
+def extract_hops(person_id: str, spells: Sequence[JobSpell],
+                 title_of: Callable[[JobSpell], str]) -> list[Hop]:
+    """All hops between the given spells of one person, with `title_of`
+    supplying the normalized title of each spell."""
     hops: list[Hop] = []
-    for idx, src in enumerate(pool):
-        end = src.resolved_end(reference_date)
-        candidates = [s for j, s in enumerate(pool) if j != idx and s.start_date >= end]
+    for idx, src in enumerate(spells):
+        candidates = [s for j, s in enumerate(spells) if j != idx and s.start_date >= src.end_date]
         if not candidates:
             continue
         first_start = min(s.start_date for s in candidates)
@@ -78,13 +70,13 @@ def extract_hops(profile: PersonProfile, reference_date: Month,
             if kind is HopKind.INTERNAL and src_title == dst_title:
                 continue  # duplicate listing of the same job
             hops.append(Hop(
-                person_id=profile.person_id,
+                person_id=person_id,
                 src=src,
                 dst=dst,
                 src_title=src_title,
                 dst_title=dst_title,
                 kind=kind,
-                duration_of_stay=years_between(src.start_date, end),
+                stay_months=months_between(src.start_date, src.end_date),
             ))
     hops.sort(key=Hop.sort_key)
     return hops
@@ -132,8 +124,7 @@ def build_hop_corpus(profile_set: ProfileSet, norm_map: NormalizationMap,
         if len(surviving) < 2:
             continue
         hops.extend(extract_hops(
-            profile, profile_set.reference_date,
-            title_of=lambda s: norm(s.raw_title), spells=surviving))
+            profile.person_id, surviving, lambda s: norm(s.raw_title)))
 
     return HopCorpus(hops=tuple(hops), retained_titles=frozenset(retained))
 
@@ -145,14 +136,14 @@ HOP_CSV_HEADER = [
 ]
 
 
-def write_hops_csv(corpus: HopCorpus, path, reference_date: Month) -> None:
-    """Hop export; ongoing spells are written with their resolved end."""
+def write_hops_csv(corpus: HopCorpus, path) -> None:
+    """Hop export, with the stay as a decimal number of years."""
     write_csv(path, HOP_CSV_HEADER, ((
         h.person_id, h.src_title, h.src.organization, h.src.industry,
-        str(h.src.start_date), str(h.src.resolved_end(reference_date)),
+        str(h.src.start_date), str(h.src.end_date),
         h.dst_title, h.dst.organization, h.dst.industry,
-        str(h.dst.start_date), str(h.dst.resolved_end(reference_date)),
-        h.kind.value, format_years(h.duration_of_stay),
+        str(h.dst.start_date), str(h.dst.end_date),
+        h.kind.value, format_years(h.stay_months / 12),
     ) for h in corpus.hops))
 
 
@@ -174,7 +165,7 @@ def read_hops_csv(path) -> HopCorpus:
                 src=src, dst=dst,
                 src_title=row["src_title"], dst_title=row["dst_title"],
                 kind=HopKind(row["kind"]),
-                duration_of_stay=years_between(src.start_date, src.end_date),
+                stay_months=months_between(src.start_date, src.end_date),
             ))
     return HopCorpus(
         hops=tuple(hops),

@@ -8,6 +8,10 @@ Input is JSON Lines, one profile object per line:
                  "start": "YYYY-MM", "end": "YYYY-MM" | null}],
      "skills": ["...", ...]}
 
+An ongoing spell (absent or null end) is closed at the reference date,
+and a spell that starts after the reference date rejects its line, so
+every loaded spell ends at or after its start.
+
 String fields must be JSON strings of valid Unicode text; an absent or
 null field reads as empty, so a required one is then missing. Malformed
 lines (invalid UTF-8, bad or too deeply nested JSON, a bad field) are
@@ -40,17 +44,14 @@ class EducationRecord:
 
 @dataclass(frozen=True)
 class JobSpell:
-    """One job held by one person. `end_date` of None means ongoing."""
+    """One job held by one person. An ongoing spell ends at the reference
+    date it was loaded with."""
 
     raw_title: str
     organization: str
     industry: str
     start_date: Month
-    end_date: Month | None
-
-    def resolved_end(self, reference_date: Month) -> Month:
-        """End date with ongoing spells closed at the reference date."""
-        return self.end_date if self.end_date is not None else reference_date
+    end_date: Month
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def _parse_education(raw) -> tuple[EducationRecord, ...]:
     return tuple(records)
 
 
-def _parse_spell(entry) -> JobSpell:
+def _parse_spell(entry, reference_date: Month) -> JobSpell:
     if not isinstance(entry, dict):
         raise ValueError("spell entry is not an object")
     title = _text(entry.get("title"), "title")
@@ -171,9 +172,11 @@ def _parse_spell(entry) -> JobSpell:
     if start_raw is None:
         raise ValueError("spell missing start date")
     start = Month.parse(start_raw)
+    if start > reference_date:
+        raise ValueError(f"spell start {start} is after reference date {reference_date}")
     end_raw = entry.get("end")
-    end = Month.parse(end_raw) if end_raw is not None else None
-    if end is not None and end < start:
+    end = Month.parse(end_raw) if end_raw is not None else reference_date
+    if end < start:
         raise ValueError(f"spell end {end} precedes start {start}")
     return JobSpell(title, organization, industry, start, end)
 
@@ -187,14 +190,14 @@ def _list_field(obj, name) -> list:
     return value
 
 
-def _parse_profile(obj) -> PersonProfile:
+def _parse_profile(obj, reference_date: Month) -> PersonProfile:
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     person_id = _text(obj.get("person_id"), "person_id")
     if not person_id:
         raise ValueError("missing or empty person_id")
     education = _parse_education(_list_field(obj, "education"))
-    spells = tuple(_parse_spell(e) for e in _list_field(obj, "spells"))
+    spells = tuple(_parse_spell(e, reference_date) for e in _list_field(obj, "spells"))
     skills = tuple(_text(s, "skill") for s in _list_field(obj, "skills"))
     return PersonProfile(person_id, education, spells, skills)
 
@@ -221,7 +224,7 @@ def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
             try:
                 if not line.isascii():
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                profile = _parse_profile(json.loads(line))
+                profile = _parse_profile(json.loads(line), reference_date)
             except (ValueError, TypeError, RecursionError) as exc:
                 report.reject(line_no, str(exc))
                 continue

@@ -5,11 +5,11 @@ job levels and level gains with promotion/demotion labels, cohort-grouped
 external-hop fractions, and distribution summaries. Durations are kept as
 integer months; an exact `Fraction` of years is formed only for a mean, a
 gain or a quartile interpolation, and rendered as a decimal on export.
+No job age is negative, as `load_profiles` rejects future-dated spells.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -22,11 +22,8 @@ from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
 from .titles import NormalizationMap, identity
 
-logger = logging.getLogger(__name__)
 
-
-def work_experience_months(profile: PersonProfile, spell: JobSpell,
-                           reference_date: Month) -> int | None:
+def work_experience_months(profile: PersonProfile, spell: JobSpell) -> int | None:
     """Months from the most recent graduation to the end of the spell.
 
     None when the profile has no dated education. Non-positive results
@@ -35,18 +32,12 @@ def work_experience_months(profile: PersonProfile, spell: JobSpell,
     grad = profile.grad_date()
     if grad is None:
         return None
-    return months_between(grad, spell.resolved_end(reference_date))
+    return months_between(grad, spell.end_date)
 
 
-def job_age_months(spell: JobSpell, reference_date: Month) -> int | None:
-    """Months from the spell's start to the reference date; None (with a
-    warning) when the spell starts after the reference date."""
-    age = months_between(spell.start_date, reference_date)
-    if age < 0:
-        logger.warning("spell starts after reference date %s: %s at %s",
-                       reference_date, spell.raw_title, spell.organization)
-        return None
-    return age
+def job_age_months(spell: JobSpell, reference_date: Month) -> int:
+    """Months from the spell's start to the reference date."""
+    return months_between(spell.start_date, reference_date)
 
 
 def _mean_years(total_months: int, n: int) -> Fraction | None:
@@ -58,7 +49,7 @@ class JobHolding:
     """One unique (person, title, organization) occupancy.
 
     Duplicate spells of the same job are merged: the earliest start and
-    the latest resolved end represent the occupancy.
+    the latest end represent the occupancy.
     """
 
     person_id: str
@@ -68,7 +59,7 @@ class JobHolding:
     start: Month
     end: Month
     wk_months: int | None
-    age_months: int | None
+    age_months: int
 
 
 def _positive_wk_months(holdings: Iterable[JobHolding]) -> list[int]:
@@ -99,12 +90,11 @@ class JobIndex:
         self.by_title_org = {k: tuple(v) for k, v in tc.items()}
 
         # (title, industry) -> (sum, count) of positive experience months
-        # and of known age months.
+        # and of age months.
         self.experience_months = {
             k: _sum_count(_positive_wk_months(group)) for k, group in ti.items()}
         self.age_months = {
-            k: _sum_count([h.age_months for h in group if h.age_months is not None])
-            for k, group in ti.items()}
+            k: _sum_count([h.age_months for h in group]) for k, group in ti.items()}
         # (title, organization) -> holders with positive experience, and the
         # job level for the jobs that have any.
         self.job_supports: dict[tuple[str, str], int] = {}
@@ -118,7 +108,6 @@ class JobIndex:
     @classmethod
     def build(cls, profile_set: ProfileSet, norm_map: NormalizationMap,
               translate: Callable[[str], str] = identity) -> "JobIndex":
-        reference = profile_set.reference_date
         # (person, title, org) -> (profile, the occupancy as one spell)
         merged: dict[tuple[str, str, str], tuple[PersonProfile, JobSpell]] = {}
         for profile in sorted(profile_set, key=lambda p: p.person_id):
@@ -133,7 +122,7 @@ class JobIndex:
                     spell = JobSpell(
                         first.raw_title, first.organization, first.industry,
                         min(first.start_date, spell.start_date),
-                        max(first.resolved_end(reference), spell.resolved_end(reference)))
+                        max(first.end_date, spell.end_date))
                 merged[key] = (profile, spell)
 
         holdings = []
@@ -141,9 +130,9 @@ class JobIndex:
             holdings.append(JobHolding(
                 person_id=person_id, title=title, organization=org,
                 industry=spell.industry, start=spell.start_date,
-                end=spell.resolved_end(reference),
-                wk_months=work_experience_months(profile, spell, reference),
-                age_months=job_age_months(spell, reference),
+                end=spell.end_date,
+                wk_months=work_experience_months(profile, spell),
+                age_months=job_age_months(spell, profile_set.reference_date),
             ))
         return cls(holdings)
 
@@ -294,7 +283,7 @@ def promotion_vs_duration(records: Iterable[LevelGainRecord],
     for r in records:
         if r.label is GainLabel.UNSUPPORTED:
             continue
-        d = int(r.hop.duration_of_stay // 1)
+        d = r.hop.stay_months // 12
         totals[(d, r.hop.kind)] += 1
         if r.label is GainLabel.PROMOTION:
             promos[(d, r.hop.kind)] += 1
@@ -317,30 +306,21 @@ class CohortKey:
     skill_bin: int
 
 
-@dataclass(frozen=True)
-class CohortBinning:
-    wk_exp_width: int = 1
-    job_age_width: int = 1
-    skill_width: int = 5
+def cohort_key_for(profile: PersonProfile, hop: Hop,
+                   reference_date: Month) -> CohortKey | None:
+    """Cohort of the hopper, measured when leaving the source spell: whole
+    years of work experience, whole years of the source job's age at the
+    reference date, and skill count in fives (0-4, 5-9, ...).
 
-
-def cohort_key_for(profile: PersonProfile, hop: Hop, reference_date: Month,
-                   binning: CohortBinning = CohortBinning()) -> CohortKey | None:
-    """Cohort of the hopper, measured when leaving the source spell.
-
-    None when the hopper has no dated education, non-positive work
-    experience at that moment, or a source job starting after the
-    reference date."""
-    wk = work_experience_months(profile, hop.src, reference_date)
+    None when the hopper has no dated education or non-positive work
+    experience at that moment."""
+    wk = work_experience_months(profile, hop.src)
     if wk is None or wk <= 0:
         return None
-    age = job_age_months(hop.src, reference_date)
-    if age is None:
-        return None
     return CohortKey(
-        wk_exp_bin=wk // (12 * binning.wk_exp_width) * binning.wk_exp_width,
-        job_age_bin=age // (12 * binning.job_age_width) * binning.job_age_width,
-        skill_bin=(len(profile.skills) // binning.skill_width) * binning.skill_width,
+        wk_exp_bin=wk // 12,
+        job_age_bin=job_age_months(hop.src, reference_date) // 12,
+        skill_bin=len(profile.skills) // 5 * 5,
     )
 
 
@@ -373,15 +353,14 @@ class CohortTable:
 
 
 def build_cohort_table(corpus: HopCorpus, profile_set: ProfileSet,
-                       min_sup: int = 100,
-                       binning: CohortBinning = CohortBinning()) -> CohortTable:
+                       min_sup: int = 100) -> CohortTable:
     by_id = profile_set.by_id()
     cells: dict[CohortKey, list[int]] = {}
     for hop in corpus.hops:
         profile = by_id.get(hop.person_id)
         if profile is None:
             continue
-        key = cohort_key_for(profile, hop, profile_set.reference_date, binning)
+        key = cohort_key_for(profile, hop, profile_set.reference_date)
         if key is None:
             continue
         cell = cells.setdefault(key, [0, 0])
@@ -463,7 +442,7 @@ def distribution_summaries(profile_set: ProfileSet, idx: JobIndex) -> list[Distr
     level, computed over core users, in `DISTRIBUTION_NAMES` order."""
     skills = [len(p.skills) for p in profile_set if is_core_user(p)]
     wk = _positive_wk_months(idx.holdings)
-    ages = [h.age_months for h in idx.holdings if h.age_months is not None]
+    ages = [h.age_months for h in idx.holdings]
     levels = list(idx.job_levels.values())
     parts = (
         (_histogram(skills), quartiles(skills)),
@@ -519,7 +498,7 @@ def write_level_gains_csv(records: Iterable[LevelGainRecord], path) -> None:
                      "gain", "label", "reason"], ((
         r.hop.person_id, r.hop.src_title, r.hop.src.organization,
         r.hop.dst_title, r.hop.dst.organization, r.hop.kind.value,
-        format_years(r.hop.duration_of_stay),
+        format_years(r.hop.stay_months / 12),
         _fmt(r.src_level), _fmt(r.dst_level), _fmt(r.gain),
         r.label.value, r.reason or "",
     ) for r in records))

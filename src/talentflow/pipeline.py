@@ -175,8 +175,7 @@ def stage_extract_hops(state: RunState) -> dict:
     norm_map, translate = state.norm_map, state.translate
     corpus = state.corpus = build_hop_corpus(
         profile_set, norm_map, config.title_min_sup, translate)
-    reference = config.reference_month()
-    write_hops_csv(corpus, out / HOPS_CSV, reference)
+    write_hops_csv(corpus, out / HOPS_CSV)
     return {
         "hops": {
             "total": len(corpus),

@@ -13,14 +13,19 @@ from talentflow.ingest import (EducationRecord, JobSpell, PersonProfile,
 from talentflow.titles import TitleDictionaries
 
 
+REFERENCE = "2020-01"  # the reference date of every test
+
+
 def m(text: str) -> Month:
     return Month.parse(text)
 
 
 def spell(title: str, org: str, industry: str, start: str,
           end: str | None) -> JobSpell:
+    """A spell as `load_profiles` builds it: an ongoing one (`end` None)
+    ends at the reference date."""
     return JobSpell(title, org, industry, m(start),
-                    m(end) if end is not None else None)
+                    m(end if end is not None else REFERENCE))
 
 
 def profile(person_id: str, spells=(), grad: str | None = None,
@@ -31,12 +36,12 @@ def profile(person_id: str, spells=(), grad: str | None = None,
     return PersonProfile(person_id, education, tuple(spells), tuple(skills))
 
 
-def profile_set(profiles, reference: str = "2020-01") -> ProfileSet:
+def profile_set(profiles) -> ProfileSet:
     org_industry = {}
     for p in profiles:
         for s in p.spells:
             org_industry.setdefault(s.organization, s.industry)
-    return ProfileSet(tuple(profiles), m(reference), org_industry)
+    return ProfileSet(tuple(profiles), m(REFERENCE), org_industry)
 
 
 @pytest.fixture(scope="session")

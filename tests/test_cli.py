@@ -126,9 +126,10 @@ def test_input_is_required_by_the_stages_that_read_it(tmp_path, corpus_file, cap
 
 
 def _hostile_corpus(corpus_file: Path, path: Path) -> Path:
-    """Part of the synthetic corpus plus a null title, a truncated line, an
-    industry conflict and an ongoing source spell whose next spell starts
-    at the reference date."""
+    """Part of the synthetic corpus (80 lines) plus a null title, a
+    truncated line, an industry conflict, an ongoing source spell whose
+    next spell starts at the reference date, and, on line 85, a spell that
+    starts after the reference date."""
     edu = [{"institution": "U", "degree": "BSc", "grad_date": "2008-06"}]
 
     def person(person_id, *spells):
@@ -146,6 +147,8 @@ def _hostile_corpus(corpus_file: Path, path: Path) -> Path:
                ("data specialist", "Org0004", "i01", "2011-02", "2012-01")),
         person("ongoing", ("data engineer", "Org0005", "i01", "2018-03", None),
                ("research analyst", "Org0006", "i01", REF, None)),
+        person("future", ("data engineer", "Org0007", "i01", "2015-01", "2019-06"),
+               ("research analyst", "Org0008", "i01", "2020-02", None)),
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -184,6 +187,11 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
             assert (one_shot / name).read_bytes() == (staged / name).read_bytes(), \
                 (case, name)
         assert (one_shot / "report.json").read_bytes() == report_reference(one_shot), case
+
+    with open(tmp_path / "hostile" / "one" / "rejections.csv", newline="",
+              encoding="utf-8") as fh:
+        assert ["85", "spell start 2020-02 is after reference date 2020-01"] \
+            in list(csv.reader(fh))
 
     out = tmp_path / "one-org" / "one"
     with open(out / "network_stats.csv", newline="", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from talentflow.dates import Month, format_years, months_between, years_between
+from talentflow.dates import Month, format_years, months_between
 
 
 def test_parse_and_str_roundtrip():
@@ -32,11 +32,11 @@ def test_ordering_is_chronological():
     assert Month(2017, 3) < Month(2017, 4) < Month(2018, 1)
 
 
-def test_months_and_years_between():
+def test_months_between():
     assert months_between(Month(2010, 6), Month(2013, 6)) == 36
-    assert years_between(Month(2010, 6), Month(2013, 6)) == 3
-    assert years_between(Month(2015, 1), Month(2015, 5)) == Fraction(1, 3)
-    assert years_between(Month(2015, 1), Month(2014, 1)) == -1
+    assert months_between(Month(2015, 1), Month(2015, 5)) == 4
+    assert months_between(Month(2015, 1), Month(2014, 1)) == -12
+    assert months_between(Month(2014, 12), Month(2015, 1)) == 1
 
 
 def test_format_years_is_decimal():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +10,10 @@ from talentflow.titles import build_normalization
 
 from conftest import m, profile, profile_set, spell
 
-REF = Month(2020, 1)
+
+def hops_of(spells):
+    """The hops of one person's spells, titles taken as written."""
+    return extract_hops("p", spells, lambda s: s.raw_title)
 
 
 def pairs(hops):
@@ -33,7 +34,7 @@ def test_five_spell_reference_configuration():
         spell("D", "orgD", "i1", "2011-09", "2012-12"),
         spell("E", "orgE", "i1", "2012-10", "2014-01"),
     ]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert pairs(hops) == {("A", "B"), ("B", "E"), ("C", "D")}
     assert len(hops) == 3
 
@@ -41,27 +42,27 @@ def test_five_spell_reference_configuration():
 def test_fully_overlapping_spells_yield_no_hops():
     spells = [spell("A", "orgA", "i1", "2010-01", "2012-01"),
               spell("B", "orgB", "i1", "2010-01", "2011-06")]
-    assert extract_hops(profile("p", spells), REF) == []
+    assert hops_of(spells) == []
 
 
 def test_sequential_chain():
     spells = [spell("X", "o1", "i1", "2010-01", "2011-01"),
               spell("Y", "o2", "i1", "2011-03", "2012-01"),
               spell("Z", "o3", "i1", "2012-05", "2013-01")]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert pairs(hops) == {("X", "Y"), ("Y", "Z")}
 
 
 def test_same_org_same_title_move_discarded():
     spells = [spell("civil engineer", "X", "i1", "2010-01", "2011-01"),
               spell("civil engineer", "X", "i1", "2011-02", "2012-01")]
-    assert extract_hops(profile("p", spells), REF) == []
+    assert hops_of(spells) == []
 
 
 def test_same_org_different_title_is_internal():
     spells = [spell("engineer", "X", "i1", "2010-01", "2011-01"),
               spell("manager", "X", "i1", "2011-02", "2012-01")]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert len(hops) == 1
     assert hops[0].kind is HopKind.INTERNAL
     assert classify_hop(hops[0].src, hops[0].dst) is HopKind.INTERNAL
@@ -70,7 +71,7 @@ def test_same_org_different_title_is_internal():
 def test_same_title_across_orgs_is_external():
     spells = [spell("engineer", "AcmeA", "i1", "2010-01", "2011-01"),
               spell("engineer", "AcmeB", "i1", "2011-02", "2012-01")]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert len(hops) == 1
     assert hops[0].kind is HopKind.EXTERNAL
 
@@ -78,7 +79,7 @@ def test_same_title_across_orgs_is_external():
 def test_boundary_touch_counts_as_non_overlap():
     spells = [spell("A", "o1", "i1", "2010-01", "2011-01"),
               spell("B", "o2", "i1", "2011-01", "2012-01")]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert pairs(hops) == {("A", "B")}
 
 
@@ -86,16 +87,16 @@ def test_tied_earliest_starts_all_get_hops():
     spells = [spell("A", "o1", "i1", "2010-01", "2010-12"),
               spell("B", "o2", "i1", "2011-01", "2012-01"),
               spell("C", "o3", "i1", "2011-01", "2011-06")]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert pairs(hops) == {("A", "B"), ("A", "C")}
 
 
 def test_ongoing_spell_duration_uses_reference_date():
     spells = [spell("A", "o1", "i1", "2019-01", None),
               spell("B", "o2", "i1", "2020-01", None)]
-    hops = extract_hops(profile("p", spells), REF)
+    hops = hops_of(spells)
     assert len(hops) == 1
-    assert hops[0].duration_of_stay == Fraction(12, 12)
+    assert hops[0].stay_months == 12
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +104,8 @@ def test_ongoing_spell_duration_uses_reference_date():
 # implementation's candidate scan
 # ---------------------------------------------------------------------------
 
-def oracle_hops(spells, reference):
-    ends = [s.end_date if s.end_date is not None else reference for s in spells]
+def oracle_hops(spells):
+    ends = [s.end_date for s in spells]
     result = set()
     for i, a in enumerate(spells):
         for j, b in enumerate(spells):
@@ -147,13 +148,13 @@ def random_spells(draw):
 @settings(max_examples=300, deadline=None)
 @given(random_spells())
 def test_extraction_matches_pairwise_oracle(spells):
-    got = extract_hops(profile("p", spells), REF)
+    got = hops_of(spells)
 
     def index_of(target):
         return next(i for i, s in enumerate(spells) if s is target)
 
     got_pairs = {(index_of(h.src), index_of(h.dst)) for h in got}
-    assert got_pairs == oracle_hops(spells, REF)
+    assert got_pairs == oracle_hops(spells)
     # tied starts can exceed spells - 1, but never the number of ordered pairs
     assert len(got) <= len(spells) * (len(spells) - 1)
 
@@ -238,13 +239,13 @@ def test_hop_csv_roundtrip(tmp_path, dicts):
     nmap = build_normalization({"finance manager": 5, "manager, finance": 5}, dicts)
     corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
     path = tmp_path / "hops.csv"
-    write_hops_csv(corpus, path, REF)
+    write_hops_csv(corpus, path)
     loaded = read_hops_csv(path)
     assert len(loaded) == len(corpus) == 1
     a, b = corpus.hops[0], loaded.hops[0]
     assert (a.person_id, a.src_title, a.dst_title, a.kind) == \
         (b.person_id, b.src_title, b.dst_title, b.kind)
-    assert a.duration_of_stay == b.duration_of_stay
+    assert a.stay_months == b.stay_months == 12
     assert (loaded.internal_count, loaded.external_count) == recount(loaded)
 
 
@@ -260,4 +261,4 @@ def test_no_hop_spells_never_overlap(dicts):
     ]
     corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
     for h in corpus.hops:
-        assert h.src.resolved_end(REF) <= h.dst.start_date
+        assert h.src.end_date <= h.dst.start_date

@@ -18,12 +18,13 @@ from conftest import m, profile, spell
 REF = Month(2020, 1)
 
 
-def _valid_line(person_id="p1", title="engineer", org="Acme", industry="i1"):
+def _valid_line(person_id="p1", title="engineer", org="Acme", industry="i1",
+                start="2012-01", end="2014-01"):
     return json.dumps({
         "person_id": person_id,
         "education": [{"institution": "U", "degree": "BSc", "grad_date": "2010-06"}],
         "spells": [{"title": title, "organization": org, "industry": industry,
-                    "start": "2012-01", "end": "2014-01"}],
+                    "start": start, "end": end}],
         "skills": ["python"],
     })
 
@@ -66,6 +67,17 @@ def test_industry_conflict_keeps_first_seen(tmp_path, caplog):
     assert [s.industry for s in ps.profiles[0].spells] == ["i1", "i1"]
     assert report.industry_conflicts == [("Acme", "i1", "i2")]
     assert "industry conflict" in caplog.text
+
+
+def test_ongoing_spell_ends_at_reference_and_future_start_is_rejected(tmp_path):
+    lines = [_valid_line("ongoing", start="2018-02", end=None),
+             _valid_line("starts-at-reference", start="2020-01", end=None),
+             _valid_line("starts-after", start="2020-02", end=None)]
+    ps, report = _load(tmp_path, lines)
+    assert [(p.person_id, p.spells[0].start_date, p.spells[0].end_date) for p in ps] == [
+        ("ongoing", m("2018-02"), REF), ("starts-at-reference", REF, REF)]
+    assert [(r.line_no, r.reason) for r in report.rejections] == [
+        (3, "spell start 2020-02 is after reference date 2020-01")]
 
 
 def test_duplicate_person_id_rejected(tmp_path):
@@ -140,11 +152,15 @@ _JSON_VALUES = st.recursive(
     _SCALARS, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(_FIELDS, inner, max_size=5), max_leaves=16)
 # one line each: arbitrary bytes, or any JSON value (shaped like a profile
-# often enough to reach the field checks), or a valid profile
+# often enough to reach the field checks), or a well-formed profile whose
+# spell may be ongoing, start at or after the reference date, or end before
+# it starts
 _LINES = st.one_of(
     st.binary(max_size=12).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
     _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
-    st.sampled_from(["p1", "p2"]).map(lambda pid: _valid_line(pid).encode()))
+    st.builds(_valid_line, st.sampled_from(["p1", "p2"]),
+              start=st.sampled_from(["2012-01", "2020-01", "2020-02"]),
+              end=st.sampled_from(["2014-01", "2021-01", None])).map(str.encode))
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,6 +179,8 @@ def test_load_never_raises_and_accounts_for_every_line(lines):
         for text in texts:
             assert isinstance(text, str)
             text.encode("utf-8")
+        for s in p.spells:
+            assert s.start_date <= REF and s.start_date <= s.end_date
 
 
 def test_skills_trimmed_deduped_truncated(tmp_path):

@@ -31,29 +31,26 @@ REF = Month(2020, 1)
 def test_work_experience_arithmetic():
     p = profile("p", [], grad="2010-06")
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience_months(p, s, REF) == 36
+    assert work_experience_months(p, s) == 36
 
     same_month = spell("engineer", "Acme", "i1", "2015-01", "2015-01")
     p2 = profile("p", [], grad="2015-01")
-    assert work_experience_months(p2, same_month, REF) == 0
+    assert work_experience_months(p2, same_month) == 0
 
     p3 = profile("p", [], grad="2016-01")
-    assert work_experience_months(p3, same_month, REF) == -12
+    assert work_experience_months(p3, same_month) == -12
 
 
 def test_work_experience_unavailable_without_grad():
     p = profile("p", [], grad=None)
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience_months(p, s, REF) is None
+    assert work_experience_months(p, s) is None
 
 
-def test_job_age_arithmetic(caplog):
+def test_job_age_arithmetic():
     s = spell("engineer", "Acme", "i1", "2015-01", None)
     assert job_age_months(s, Month(2017, 1)) == 24
-    future = spell("engineer", "Acme", "i1", "2021-06", None)
-    with caplog.at_level("WARNING"):
-        assert job_age_months(future, REF) is None
-    assert "reference date" in caplog.text
+    assert job_age_months(s, REF) == 60
 
 
 def _tiny_index(dicts):
@@ -345,7 +342,6 @@ def synth_setup(tmp_path_factory):
 
 def _oracle_holdings(ps, nmap):
     """Float full-scan recomputation, structured independently of JobIndex."""
-    reference = ps.reference_date
     rows = {}
     for p in ps:
         if not (p.education and p.spells and p.skills):
@@ -355,13 +351,12 @@ def _oracle_holdings(ps, nmap):
         for s in p.spells:
             title = nmap.normalize(s.raw_title)
             key = (p.person_id, title, s.organization)
-            end = s.end_date if s.end_date is not None else reference
             row = rows.get(key)
             if row is None:
-                rows[key] = [s.industry, s.start_date, end, grad]
+                rows[key] = [s.industry, s.start_date, s.end_date, grad]
             else:
                 row[1] = min(row[1], s.start_date)
-                row[2] = max(row[2], end)
+                row[2] = max(row[2], s.end_date)
     return rows
 
 
@@ -508,7 +503,7 @@ _holdings = st.lists(st.builds(
     start=st.just(Month(2010, 1)),
     end=st.just(Month(2012, 1)),
     wk_months=st.none() | st.integers(-60, 480),
-    age_months=st.none() | st.integers(0, 480),
+    age_months=st.integers(0, 480),
 ), max_size=40)
 
 
@@ -522,7 +517,7 @@ def _scan_positive_wk(holdings):
 
 
 def _scan_ages(holdings):
-    return [Fraction(h.age_months, 12) for h in holdings if h.age_months is not None]
+    return [Fraction(h.age_months, 12) for h in holdings]
 
 
 @given(_holdings)

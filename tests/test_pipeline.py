@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import m, report_reference, spell
+from conftest import report_reference, spell
 from talentflow import pipeline
 from talentflow.artifacts import write_atomic
 from talentflow.config import PipelineConfig
@@ -52,14 +52,14 @@ def _one_then_fail(item):
 
 _HOP = Hop("p1", spell("analyst", "OrgA", "i1", "2010-01", "2012-01"),
            spell("manager", "OrgB", "i1", "2012-01", None),
-           "analyst", "manager", HopKind.EXTERNAL, Fraction(2))
+           "analyst", "manager", HopKind.EXTERNAL, 24)
 
 # Each writer gets a row source that fails after its first row.
 FAILING_WRITERS = {
     "write_rejections": lambda p: write_rejections(
         LoadReport(rejections=_one_then_fail(Rejection(3, "bad line"))), p),
     "write_hops_csv": lambda p: write_hops_csv(
-        HopCorpus(_one_then_fail(_HOP), frozenset()), p, m("2020-01")),
+        HopCorpus(_one_then_fail(_HOP), frozenset()), p),
     "write_level_gains_csv": lambda p: write_level_gains_csv(_one_then_fail(
         LevelGainRecord(_HOP, None, None, None, GainLabel.UNSUPPORTED, "low_support")), p),
     "write_ccdf_csv": lambda p: write_ccdf_csv(_one_then_fail((1, Fraction(1, 2))), p),
