@@ -23,7 +23,6 @@ from pathlib import Path
 from .config import ConfigError, PipelineConfig, build_config, read_config_file
 from .pipeline import (STAGES, DependencyError, RunState, StageFailure,
                        run_pipeline)
-from .synth import SynthSpec, generate, write_profiles_jsonl, write_sidecar
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -107,6 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # imported here: no other command needs the generator
+    from .synth import SynthSpec, generate, write_profiles_jsonl, write_sidecar
+
     spec = SynthSpec(
         persons=args.persons,
         organizations=args.organizations,

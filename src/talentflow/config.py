@@ -3,7 +3,6 @@ precedence handling (defaults < config file < command-line flags)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -16,21 +15,34 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-@dataclass
+# Every config key and its default. A key with an int or float default
+# takes that type from a config file; the others are strings or None.
+_DEFAULTS = {
+    "input": None,
+    "out": None,
+    "reference_date": None,
+    "title_min_sup": 10,
+    "edge_min_sup": 2,
+    "cohort_min_sup": 100,
+    "job_min_sup": 10,
+    "damping": 0.85,
+    "tol": 1e-10,
+    "max_iter": 200,
+    "dicts": None,  # directory with functions/positions/domains files
+    "translate_table": None,
+    "top_k": 10,
+}
+
+
 class PipelineConfig:
-    input: str | None = None
-    out: str | None = None
-    reference_date: str | None = None
-    title_min_sup: int = 10
-    edge_min_sup: int = 2
-    cohort_min_sup: int = 100
-    job_min_sup: int = 10
-    damping: float = 0.85
-    tol: float = 1e-10
-    max_iter: int = 200
-    dicts: str | None = None          # directory with functions/positions/domains files
-    translate_table: str | None = None
-    top_k: int = 10
+    """Mutable settings, one attribute per `_DEFAULTS` key; keyword
+    arguments override the defaults."""
+
+    __slots__ = tuple(_DEFAULTS)
+
+    def __init__(self, **values) -> None:
+        for name, value in {**_DEFAULTS, **values}.items():
+            setattr(self, name, value)  # a name with no slot: AttributeError
 
     def validate(self) -> None:
         if not self.out:
@@ -76,24 +88,15 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """Configuration as plain JSON-compatible values, for the manifest."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-_INT_FIELDS = {"title_min_sup", "edge_min_sup", "cohort_min_sup", "job_min_sup",
-               "max_iter", "top_k"}
-_FLOAT_FIELDS = {"damping", "tol"}
+        return {name: getattr(self, name) for name in _DEFAULTS}
 
 
 def _convert(name: str, raw: str):
+    kind = type(_DEFAULTS[name])
     try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
+        return kind(raw) if kind in (int, float) else raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-    return raw
 
 
 def read_config_file(path) -> dict:
@@ -112,7 +115,7 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         name = key.strip().replace("-", "_")
-        if name not in _FIELD_TYPES:
+        if name not in _DEFAULTS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key.strip()!r}")
         values[name] = _convert(name, value.strip())
     return values
@@ -127,7 +130,7 @@ def build_config(file_values: dict | None = None,
         for name, value in source.items():
             if value is None:
                 continue
-            if name not in _FIELD_TYPES:
+            if name not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {name!r}")
             setattr(config, name, value)
     return config

@@ -3,30 +3,30 @@
 All profile dates are month-granular, and durations are integer month
 counts. Where a year value is needed (a mean, a gain, a quartile) it is
 an exact `Fraction` of months / 12, so results are reproducible across
-platforms; it is converted to decimal only when written out.
+platforms; it is converted to decimal only when written out. A `Month`
+orders, hashes and compares equal as the plain tuple (year, month) does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
-@dataclass(frozen=True, order=True)
-class Month:
+class Month(NamedTuple("Month", [("year", int), ("month", int)])):
     """A calendar month, e.g. 2017-03."""
 
-    year: int
-    month: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month out of range: {self.month}")
-        if self.year < 0:
-            raise ValueError(f"negative year: {self.year}")
+    def __new__(cls, year: int, month: int) -> "Month":
+        if not 1 <= month <= 12:
+            raise ValueError(f"month out of range: {month}")
+        if year < 0:
+            raise ValueError(f"negative year: {year}")
+        return super().__new__(cls, year, month)
 
     @classmethod
     def parse(cls, text: str) -> "Month":

@@ -5,15 +5,15 @@ Nodes are either jobs (normalized title within an industry, keyed as
 unweighted degree centralities, weighted PageRank with uniform
 redistribution of dead-end mass, strongly/weakly connected components,
 adjacency sparsity, CCDFs and a discrete power-law exponent fit.
+Records are immutable NamedTuples, equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
 from .hops import HopCorpus
@@ -28,8 +28,7 @@ def job_node_key(title: str, industry: str) -> str:
     return f"{title}|{industry}"
 
 
-@dataclass(frozen=True)
-class TalentGraph:
+class TalentGraph(NamedTuple):
     """Immutable weighted digraph. `nodes` is sorted; `edges` maps
     (src, dst) pairs to positive integer weights; no self-loops."""
 
@@ -91,8 +90,7 @@ def degree_centrality(g: TalentGraph) -> dict[str, tuple[int, int]]:
     return {v: (in_deg[v], out_deg[v]) for v in g.nodes}
 
 
-@dataclass(frozen=True)
-class PageRankResult:
+class PageRankResult(NamedTuple):
     scores: dict[str, float]
     converged: bool
     iterations: int
@@ -106,8 +104,9 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
     out-degree; nodes without outgoing edges spread their mass uniformly
     over all nodes. Iterates until the L1 change drops below `tol`;
     returns unconverged scores (flagged) after `max_iter` sweeps. Scores
-    are normalized to sum to one. Summation order is fixed, so results
-    are bit-stable across runs.
+    are normalized to sum to one. Every sum is a plain left-to-right loop
+    in node order (`sum()` of floats compensates from Python 3.12 on), so
+    results are bit-identical across runs and Python versions.
     """
     if not g.nodes:
         raise ValueError("pagerank needs a non-empty graph")
@@ -137,7 +136,9 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
                 continue
             for v, w in out_edges[u]:
                 nxt[v] += share * (w / wout)
-        dangling_mass = sum(rank[u] for u in dangling)
+        dangling_mass = 0.0
+        for u in dangling:
+            dangling_mass += rank[u]
         spread = dangling_mass / n
         delta = 0.0
         for v in nodes:
@@ -148,7 +149,9 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
             converged = True
             break
 
-    total = sum(rank[v] for v in nodes)
+    total = 0.0
+    for v in nodes:
+        total += rank[v]
     scores = {v: rank[v] / total for v in nodes}
     return PageRankResult(scores=scores, converged=converged, iterations=iterations)
 
@@ -224,8 +227,7 @@ def _union_find_wcc(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> l
     return list(groups.values())
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     mode: str
     node_count: int
     components: tuple[tuple[str, ...], ...]
@@ -294,8 +296,7 @@ class TailTooSmallError(ValueError):
     """Too few observations at or above x_min to fit a tail exponent."""
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     alpha: float
     x_min: int
     n_tail: int
@@ -468,7 +469,9 @@ def fit_power_law(values: Iterable[int], x_min: int = 1,
     if n < min_tail:
         raise TailTooSmallError(
             f"TAIL_TOO_SMALL: {n} values >= {x_min}, need {min_tail}")
-    slog = sum(math.log(v) for v in tail)
+    slog = 0.0  # left to right, like the sums in weighted_pagerank
+    for v in tail:
+        slog += math.log(v)
 
     def nll(alpha: float) -> float:
         return n * math.log(_hurwitz_zeta(alpha, x_min)) + alpha * slog
@@ -477,8 +480,7 @@ def fit_power_law(values: Iterable[int], x_min: int = 1,
     return PowerLawFit(alpha=alpha, x_min=x_min, n_tail=n)
 
 
-@dataclass(frozen=True)
-class CentralityReport:
+class CentralityReport(NamedTuple):
     nodes: tuple[str, ...]
     in_degree: dict[str, int]
     out_degree: dict[str, int]

@@ -6,16 +6,16 @@ end; overlapping spells are treated as side activities and never form
 hops. A move that keeps both the organization and the normalized title
 is a duplicate listing, not a hop. Ongoing spells were closed at the
 reference date on load, and a hop's stay in its source spell is kept in
-integer months.
+integer months. A `Hop` is an immutable NamedTuple, equal to a plain
+tuple of its fields.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .artifacts import write_csv
 from .dates import Month, format_years, months_between
@@ -28,8 +28,7 @@ class HopKind(Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     person_id: str
     src: JobSpell
     dst: JobSpell
@@ -82,12 +81,14 @@ def extract_hops(person_id: str, spells: Sequence[JobSpell],
     return hops
 
 
-@dataclass(frozen=True)
 class HopCorpus:
     """All hops of a profile set, with normalized titles."""
 
-    hops: tuple[Hop, ...]
-    retained_titles: frozenset[str]
+    __slots__ = ("hops", "retained_titles")
+
+    def __init__(self, hops: tuple[Hop, ...], retained_titles: frozenset[str]) -> None:
+        self.hops = hops
+        self.retained_titles = retained_titles
 
     def __len__(self) -> int:
         return len(self.hops)

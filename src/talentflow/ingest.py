@@ -17,15 +17,15 @@ null field reads as empty, so a required one is then missing. Malformed
 lines (invalid UTF-8, bad or too deeply nested JSON, a bad field) are
 rejected and reported with their line number; they never abort a load.
 Each organization is bound to the industry it was first seen with; later
-conflicts are logged and rewritten.
+conflicts are logged and rewritten. Records are immutable NamedTuples,
+equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .artifacts import write_csv
 from .dates import Month
@@ -35,15 +35,13 @@ logger = logging.getLogger(__name__)
 MAX_SKILLS = 50
 
 
-@dataclass(frozen=True)
-class EducationRecord:
+class EducationRecord(NamedTuple):
     institution: str
     degree: str
     grad_date: Month | None
 
 
-@dataclass(frozen=True)
-class JobSpell:
+class JobSpell(NamedTuple):
     """One job held by one person. An ongoing spell ends at the reference
     date it was loaded with."""
 
@@ -54,8 +52,7 @@ class JobSpell:
     end_date: Month
 
 
-@dataclass(frozen=True)
-class PersonProfile:
+class PersonProfile(NamedTuple):
     person_id: str
     education: tuple[EducationRecord, ...]
     spells: tuple[JobSpell, ...]
@@ -67,34 +64,47 @@ class PersonProfile:
         return max(dates) if dates else None
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     line_no: int
     reason: str
 
 
-@dataclass
 class LoadReport:
-    loaded: int = 0
-    rejections: list[Rejection] = field(default_factory=list)
-    skill_truncations: int = 0
-    industry_conflicts: list[tuple[str, str, str]] = field(default_factory=list)
+    """What a load rejected or rewrote; filled in as the load goes."""
+
+    __slots__ = ("loaded", "rejections", "skill_truncations", "industry_conflicts")
+
+    def __init__(self, rejections: list[Rejection] | None = None) -> None:
+        self.loaded = 0
+        self.rejections = [] if rejections is None else rejections
+        self.skill_truncations = 0
+        self.industry_conflicts: list[tuple[str, str, str]] = []
 
     def reject(self, line_no: int, reason: str) -> None:
         self.rejections.append(Rejection(line_no, reason))
 
 
-@dataclass(frozen=True)
 class ProfileSet:
-    """Immutable collection of profiles plus the shared reference date.
+    """Collection of profiles plus the shared reference date; equal to
+    another with the same profiles, date and map.
 
     `org_industry` maps every organization to its unique industry and is
     consistent with every spell (conflicting records were rewritten on load).
     """
 
-    profiles: tuple[PersonProfile, ...]
-    reference_date: Month
-    org_industry: Mapping[str, str]
+    __slots__ = ("profiles", "reference_date", "org_industry")
+
+    def __init__(self, profiles: tuple[PersonProfile, ...], reference_date: Month,
+                 org_industry: Mapping[str, str]) -> None:
+        self.profiles = profiles
+        self.reference_date = reference_date
+        self.org_industry = org_industry
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProfileSet):
+            return NotImplemented
+        return ((self.profiles, self.reference_date, self.org_industry)
+                == (other.profiles, other.reference_date, other.org_industry))
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -249,14 +259,11 @@ def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
                         spell.organization, known, spell.industry)
                     report.industry_conflicts.append(
                         (spell.organization, known, spell.industry))
-                    fixed_spells.append(JobSpell(
-                        spell.raw_title, spell.organization, known,
-                        spell.start_date, spell.end_date))
+                    fixed_spells.append(spell._replace(industry=known))
                 else:
                     fixed_spells.append(spell)
 
-            profiles.append(PersonProfile(
-                profile.person_id, profile.education, tuple(fixed_spells), skills))
+            profiles.append(profile._replace(spells=tuple(fixed_spells), skills=skills))
             report.loaded += 1
 
     return ProfileSet(tuple(profiles), reference_date, org_industry), report

@@ -6,15 +6,15 @@ external-hop fractions, and distribution summaries. Durations are kept as
 integer months; an exact `Fraction` of years is formed only for a mean, a
 gain or a quartile interpolation, and rendered as a decimal on export.
 No job age is negative, as `load_profiles` rejects future-dated spells.
+Records are immutable NamedTuples, equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
 from .dates import Month, format_years, months_between
@@ -44,8 +44,7 @@ def _mean_years(total_months: int, n: int) -> Fraction | None:
     return Fraction(total_months, 12 * n) if n else None
 
 
-@dataclass(frozen=True)
-class JobHolding:
+class JobHolding(NamedTuple):
     """One unique (person, title, organization) occupancy.
 
     Duplicate spells of the same job are merged: the earliest start and
@@ -119,10 +118,9 @@ class JobIndex:
                 seen = merged.get(key)
                 if seen is not None:
                     first = seen[1]
-                    spell = JobSpell(
-                        first.raw_title, first.organization, first.industry,
-                        min(first.start_date, spell.start_date),
-                        max(first.end_date, spell.end_date))
+                    spell = first._replace(
+                        start_date=min(first.start_date, spell.start_date),
+                        end_date=max(first.end_date, spell.end_date))
                 merged[key] = (profile, spell)
 
         holdings = []
@@ -168,8 +166,7 @@ REASON_LOW_SUPPORT = "low_support"
 REASON_ZERO_GAIN = "zero_gain"
 
 
-@dataclass(frozen=True)
-class LevelGainRecord:
+class LevelGainRecord(NamedTuple):
     hop: Hop
     src_level: Fraction | None
     dst_level: Fraction | None
@@ -211,8 +208,7 @@ def build_level_gain_records(corpus: HopCorpus, idx: JobIndex,
     return [level_gain(h, idx, job_min_sup) for h in corpus.hops]
 
 
-@dataclass(frozen=True)
-class PromotionTable:
+class PromotionTable(NamedTuple):
     """Promotion/demotion counts split by hop kind (unsupported excluded)."""
 
     external_promotions: int
@@ -255,8 +251,7 @@ def promotion_tables(records: Iterable[LevelGainRecord]) -> PromotionTable:
     )
 
 
-@dataclass(frozen=True)
-class DurationBinCell:
+class DurationBinCell(NamedTuple):
     """Promotion fraction for one hop kind within one duration-of-stay bin."""
 
     duration_bin: int
@@ -296,8 +291,7 @@ def promotion_vs_duration(records: Iterable[LevelGainRecord],
     return cells
 
 
-@dataclass(frozen=True)
-class CohortKey:
+class CohortKey(NamedTuple):
     """Left-closed right-open bins of hopper attributes at the moment of
     leaving the source job."""
 
@@ -346,7 +340,7 @@ class CohortTable:
 
     def rows(self) -> list[tuple[CohortKey, int, int, Fraction | None]]:
         out = []
-        for key in sorted(self.cells, key=lambda k: (k.wk_exp_bin, k.job_age_bin, k.skill_bin)):
+        for key in sorted(self.cells):
             external, internal = self.cells[key]
             out.append((key, external, internal, self.fraction(key)))
         return out
@@ -371,8 +365,7 @@ def build_cohort_table(corpus: HopCorpus, profile_set: ProfileSet,
     return CohortTable({k: (v[0], v[1]) for k, v in cells.items()}, min_sup)
 
 
-@dataclass(frozen=True)
-class QuartileSummary:
+class QuartileSummary(NamedTuple):
     count: int
     minimum: Fraction
     q1: Fraction
@@ -420,8 +413,7 @@ def quartiles(values: Sequence[Fraction | int],
     )
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Histogram over integer bins plus a quartile summary."""
 
     name: str
@@ -458,8 +450,7 @@ def _in_years(s: QuartileSummary | None) -> QuartileSummary | None:
     """A summary of month values, re-expressed in years."""
     if s is None:
         return None
-    return QuartileSummary(s.count, *(Fraction(v, 12) for v in
-                                      (s.minimum, s.q1, s.median, s.q3, s.maximum)))
+    return QuartileSummary(s.count, *(Fraction(v, 12) for v in s[1:]))  # not count
 
 
 def _fmt(value: Fraction | None) -> str:
@@ -487,8 +478,7 @@ def write_job_levels_csv(idx: JobIndex, path) -> None:
 def write_cohort_csv(table: CohortTable, path) -> None:
     write_csv(path, ["wk_exp_bin", "job_age_bin", "skill_bin", "external_hops",
                      "internal_hops", "external_fraction", "suppressed"],
-              ((key.wk_exp_bin, key.job_age_bin, key.skill_bin,
-                external, internal, _fmt(fraction), str(fraction is None).lower())
+              ((*key, external, internal, _fmt(fraction), str(fraction is None).lower())
                for key, external, internal, fraction in table.rows()))
 
 
@@ -529,7 +519,7 @@ def _quartile_row(d: Distribution) -> tuple:
     s = d.summary
     if s is None:
         return (d.name, 0, "", "", "", "", "")
-    return (d.name, s.count, *map(_fmt, (s.minimum, s.q1, s.median, s.q3, s.maximum)))
+    return (d.name, s.count, *map(_fmt, s[1:]))  # minimum to maximum
 
 
 def write_quartiles_csv(distributions: Iterable[Distribution], path) -> None:

@@ -215,12 +215,7 @@ def stage_metrics(state: RunState) -> dict:
             "holdings": len(idx.holdings),
             "jobs": len(idx.by_title_org),
             "title_industry_pairs": len(idx.by_title_industry),
-            "promotion_labels": {
-                "external_promotions": table.external_promotions,
-                "external_demotions": table.external_demotions,
-                "internal_promotions": table.internal_promotions,
-                "internal_demotions": table.internal_demotions,
-            },
+            "promotion_labels": table._asdict(),
             "cohorts": len(cohorts.cells),
         },
     }
@@ -253,9 +248,7 @@ def graph_summary(g: TalentGraph, report: CentralityReport,
         # node order: the fit sums logs in input order
         values = [report.measure(measure)[v] for v in report.nodes]
         try:
-            fit = fit_power_law(values, x_min=1)
-            fits[measure] = {"alpha": fit.alpha, "x_min": fit.x_min,
-                             "n_tail": fit.n_tail}
+            fits[measure] = fit_power_law(values, x_min=1)._asdict()
         except TailTooSmallError:
             fits[measure] = {"error": "TAIL_TOO_SMALL"}
     return rows, fits

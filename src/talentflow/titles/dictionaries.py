@@ -3,15 +3,14 @@
 Three plain-text files define the closed vocabularies (functions,
 positions, domains). Files are UTF-8, one phrase per line; `#` starts a
 comment line; `alias=target` lines map a surface form onto a canonical
-phrase. Everything else is the open WORD class.
+phrase. Everything else is the open WORD class. `TitleDictionaries` is
+an immutable NamedTuple, equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 FUNCTION = "function"
 POSITION = "position"
@@ -52,8 +51,7 @@ def _read_dict_file(path: Path) -> dict[str, str]:
     return entries
 
 
-@dataclass(frozen=True)
-class TitleDictionaries:
+class TitleDictionaries(NamedTuple):
     """Immutable lookup tables mapping surface phrases to canonical forms."""
 
     functions: Mapping[str, str]
@@ -86,10 +84,10 @@ class TitleDictionaries:
 
     @classmethod
     def bundled(cls) -> "TitleDictionaries":
-        """The dictionaries shipped with the package."""
-        data = resources.files(__package__) / "data"
-        with resources.as_file(data) as directory:
-            return cls.load_dir(directory)
+        """The dictionaries shipped with the package, read from its `data`
+        directory; `importlib.resources` is not used, because from Python
+        3.12 on it imports `inspect` in every process."""
+        return cls.load_dir(Path(__file__).parent / "data")
 
     def lookup(self, phrase: str) -> tuple[str, str] | None:
         """Classify a phrase; returns (class, canonical form) or None."""

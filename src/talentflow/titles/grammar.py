@@ -15,13 +15,13 @@ count only when the main part contributed no domain, which covers
 inverted forms like "manager, finance"); POSITION tokens from the main
 and secondary parts form the position; the secondary-part FUNCTION is the
 secondary function; parenthesized content becomes additional info.
+A `ParsedTitle` is an immutable NamedTuple, equal to a plain tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lexer import Token, TokenClass
 
@@ -44,8 +44,7 @@ class TitleParseError(ValueError):
         self.token_index = token_index
 
 
-@dataclass(frozen=True)
-class ParsedTitle:
+class ParsedTitle(NamedTuple):
     """Constituent parts of one job title, all lowercase."""
 
     primary_function: str

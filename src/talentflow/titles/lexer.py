@@ -4,14 +4,14 @@ A title is lowercased, punctuation separators and parentheses are split
 out, and the remaining words are classified against the dictionaries.
 Multi-word dictionary phrases match greedily, longest first. Joining the
 token lexemes with single spaces reconstructs the cleaned title exactly.
+A `Token` is an immutable NamedTuple, equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dictionaries import DOMAIN, FUNCTION, POSITION, TitleDictionaries
 
@@ -42,8 +42,7 @@ class LexicalError(ValueError):
     """The title contains nothing tokenizable."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """`lexeme` is the surface form; `value` is the dictionary-canonical
     form (aliases resolved), equal to the lexeme for open-class words."""
 

@@ -4,14 +4,14 @@ Every parseable title maps to the key of its constituent parts; titles
 sharing a key are spelling variants of the same job. The most frequent
 member becomes the canonical surface form (ties broken by shortest
 string, then lexicographically). Unparseable titles are tallied into an
-error rate and pass through normalization unchanged.
+error rate and pass through normalization unchanged. Records are
+immutable NamedTuples, equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -28,15 +28,13 @@ class Normalized(NamedTuple):
     canonical: bool
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+class ParseFailure(NamedTuple):
     title: str
     count: int
     error_code: str
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
+class NormalizationStats(NamedTuple):
     parsed: int
     canonical: int
     errors: int
@@ -73,14 +71,17 @@ class NormalizationMap:
 
     def lookup(self, title: str) -> Normalized:
         """Canonical form of a title, with a flag saying whether it is
-        canonical or an unknown/unparseable passthrough."""
+        canonical or an unknown/unparseable passthrough. A title the map
+        was built from is not parsed again."""
         cleaned = clean_title(title)
         if not cleaned:
             return Normalized(" ".join(title.lower().split()), False)
-        try:
-            parsed = parse(tokenize(cleaned, self.dicts))
-        except (LexicalError, TitleParseError):
-            return Normalized(cleaned, False)
+        parsed = self.parsed_by_title.get(cleaned)
+        if parsed is None:
+            try:
+                parsed = parse(tokenize(cleaned, self.dicts))
+            except (LexicalError, TitleParseError):
+                return Normalized(cleaned, False)
         canonical = self.canonical_by_key.get(parsed.key())
         if canonical is None:
             return Normalized(cleaned, False)

@@ -342,3 +342,15 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, encoding="utf-8", check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_dataclass_and_skips_synth():
+    # records are NamedTuples, so nothing pulls in dataclasses (and with it
+    # inspect); the corpus generator loads only for `talentflow synth`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, talentflow.cli; print(sorted(sys.modules.keys() & "
+             "{'dataclasses', 'inspect', 'talentflow.synth'}))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, encoding="utf-8", check=True)
+    assert done.stdout.strip() == "[]"

@@ -57,3 +57,18 @@ def test_str_parse_roundtrip(month):
 def test_ordinal_distance_matches_ordering(a, b):
     assert (months_between(a, b) > 0) == (b > a)
     assert months_between(a, b) == -months_between(b, a)
+
+
+@pytest.mark.parametrize("year, month", [(2017, 13), (2017, 0), (-1, 1)])
+def test_out_of_range_month_rejected(year, month):
+    with pytest.raises(ValueError):
+        Month(year, month)
+
+
+def test_month_prints_hashes_and_orders_as_a_year_month_tuple():
+    m = Month(2017, 3)
+    assert (str(m), repr(m)) == ("2017-03", "Month(year=2017, month=3)")
+    assert hash(m) == hash((2017, 3)) and m == (2017, 3)
+    assert sorted([Month(2018, 1), Month(2017, 12), Month(2017, 3)]) == [
+        Month(2017, 3), Month(2017, 12), Month(2018, 1)]
+    assert len({Month(2017, 3), Month.parse("2017-03")}) == 1

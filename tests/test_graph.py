@@ -227,6 +227,57 @@ def test_pagerank_matches_dense_oracle_on_small_graphs():
             assert abs(got[v] - expected[v]) <= 1e-6
 
 
+def _left_to_right_pagerank(g: TalentGraph, damping=0.85, tol=1e-10, max_iter=200):
+    """Power iteration with every float sum a plain loop in node order;
+    also returns how many sweeps' dangling mass `math.fsum` rounds
+    differently, so a caller can tell the graph exercises summation order."""
+    nodes, n = g.nodes, len(g.nodes)
+    out = {v: [] for v in nodes}
+    for (src, dst), w in sorted(g.edges.items()):
+        out[src].append((dst, w))
+    wout = {v: sum(w for _, w in out[v]) for v in nodes}  # ints: exact
+    rank = {v: 1.0 / n for v in nodes}
+    sensitive = 0
+    for _ in range(max_iter):
+        nxt = {v: 0.0 for v in nodes}
+        for u in nodes:
+            for v, w in out[u]:
+                nxt[v] += rank[u] * (w / wout[u])
+        mass = 0.0
+        for u in nodes:
+            if not out[u]:
+                mass += rank[u]
+        sensitive += mass != math.fsum(rank[u] for u in nodes if not out[u])
+        delta = 0.0
+        for v in nodes:
+            nxt[v] = (1.0 - damping) / n + damping * (nxt[v] + mass / n)
+            delta += abs(nxt[v] - rank[v])
+        rank = nxt
+        if delta < tol:
+            break
+    total = 0.0
+    for v in nodes:
+        total += rank[v]
+    return {v: rank[v] / total for v in nodes}, sensitive
+
+
+def test_pagerank_is_bit_exact_with_left_to_right_sums():
+    # 700 nodes, of which only the first 200 have out-edges: 500 dangling
+    rng = random.Random(11)
+    nodes = tuple(f"n{i:03d}" for i in range(700))
+    edges = {}
+    for _ in range(2500):
+        src, dst = rng.choice(nodes[:200]), rng.choice(nodes)
+        if src != dst:
+            edges[(src, dst)] = rng.randint(1, 9)
+    g = TalentGraph(mode=ORG_MODE, nodes=nodes, edges=edges)
+    expected, sensitive = _left_to_right_pagerank(g)
+    assert sensitive > 0  # compensated sums would round differently here
+    got = weighted_pagerank(g).scores
+    assert list(got) == list(nodes)
+    assert [repr(got[v]) for v in nodes] == [repr(expected[v]) for v in nodes]
+
+
 def test_weight_scaling_leaves_scores_unchanged():
     base = {("a", "b"): 2, ("b", "c"): 3, ("c", "a"): 1, ("a", "c"): 4}
     g1 = graph_of(base)
@@ -459,7 +510,9 @@ def test_power_law_fit_is_bit_exact_with_scipy(case):
     special = pytest.importorskip("scipy.special")
     values, x_min = case
     n = len(values)
-    slog = sum(math.log(v) for v in values)
+    slog = 0.0  # left to right, as fit_power_law sums on every Python version
+    for v in values:
+        slog += math.log(v)
 
     def nll(alpha):
         return n * math.log(special.zeta(alpha, x_min)) + alpha * slog
