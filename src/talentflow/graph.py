@@ -6,13 +6,22 @@ unweighted degree centralities, weighted PageRank with uniform
 redistribution of dead-end mass, strongly/weakly connected components,
 adjacency sparsity, CCDFs and a discrete power-law exponent fit.
 Records are immutable NamedTuples, equal to plain tuples of their fields.
+
+Degrees, PageRank and components run over integer node ids (a node's id
+is its position in `nodes`) and lists, not over string-keyed dicts, and
+map back to node keys only in their results. Every float sum in PageRank
+is a left-to-right fold in node order, so scores are bit-identical across
+runs and Python versions.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
@@ -44,11 +53,12 @@ class TalentGraph(NamedTuple):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def out_adjacency(self) -> dict[str, list[tuple[str, int]]]:
-        adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.nodes}
-        for (src, dst) in sorted(self.edges):
-            adj[src].append((dst, self.edges[(src, dst)]))
-        return adj
+
+def _links(g: TalentGraph) -> list[tuple[int, int, int]]:
+    """The edges of `g` as (src_id, dst_id, weight) in `g.edges` order,
+    where a node's id is its position in `g.nodes`."""
+    ids = {v: i for i, v in enumerate(g.nodes)}
+    return [(ids[src], ids[dst], w) for (src, dst), w in g.edges.items()]
 
 
 def build_graph(corpus: HopCorpus, mode: str, edge_min_sup: int = 2) -> TalentGraph:
@@ -82,12 +92,12 @@ def build_graph(corpus: HopCorpus, mode: str, edge_min_sup: int = 2) -> TalentGr
 def degree_centrality(g: TalentGraph) -> dict[str, tuple[int, int]]:
     """Unweighted (in_degree, out_degree) per node: distinct neighbor
     counts, ignoring edge weights."""
-    in_deg = {v: 0 for v in g.nodes}
-    out_deg = {v: 0 for v in g.nodes}
-    for (src, dst) in g.edges:
-        out_deg[src] += 1
-        in_deg[dst] += 1
-    return {v: (in_deg[v], out_deg[v]) for v in g.nodes}
+    in_deg = [0] * len(g.nodes)
+    out_deg = [0] * len(g.nodes)
+    for u, v, _ in _links(g):
+        out_deg[u] += 1
+        in_deg[v] += 1
+    return dict(zip(g.nodes, zip(in_deg, out_deg)))
 
 
 class PageRankResult(NamedTuple):
@@ -104,9 +114,10 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
     out-degree; nodes without outgoing edges spread their mass uniformly
     over all nodes. Iterates until the L1 change drops below `tol`;
     returns unconverged scores (flagged) after `max_iter` sweeps. Scores
-    are normalized to sum to one. Every sum is a plain left-to-right loop
-    in node order (`sum()` of floats compensates from Python 3.12 on), so
-    results are bit-identical across runs and Python versions.
+    are normalized to sum to one. Every sum is a left-to-right fold in
+    node order, a loop or `reduce(add, ..., 0.0)` (`sum()` of floats
+    compensates from Python 3.12 on), so results are bit-identical across
+    runs and Python versions.
     """
     if not g.nodes:
         raise ValueError("pagerank needs a non-empty graph")
@@ -115,78 +126,73 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
 
-    nodes = g.nodes
-    n = len(nodes)
-    out_weight = {v: 0 for v in nodes}
-    for (src, _), w in g.edges.items():
-        out_weight[src] += w
-    out_edges = g.out_adjacency()
-    dangling = [v for v in nodes if out_weight[v] == 0]
+    n = len(g.nodes)
+    links = _links(g)
+    out_weight = [0] * n
+    for u, _, w in links:
+        out_weight[u] += w
+    # One transition probability per link, computed once. Sorted by source,
+    # so that each node's inflow adds its sources in node order.
+    links = sorted([(u, v, w / out_weight[u]) for u, v, w in links])
+    dangling = [u for u in range(n) if out_weight[u] == 0]
 
-    rank = {v: 1.0 / n for v in nodes}
+    rank = [1.0 / n] * n
     base = (1.0 - damping) / n
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        nxt = {v: 0.0 for v in nodes}
-        for u in nodes:
-            share = rank[u]
-            wout = out_weight[u]
-            if wout == 0:
-                continue
-            for v, w in out_edges[u]:
-                nxt[v] += share * (w / wout)
-        dangling_mass = 0.0
-        for u in dangling:
-            dangling_mass += rank[u]
-        spread = dangling_mass / n
+        inflow = [0.0] * n
+        for u, v, p in links:
+            inflow[v] += rank[u] * p
+        spread = reduce(add, map(rank.__getitem__, dangling), 0.0) / n
+        nxt = [base + damping * (x + spread) for x in inflow]
         delta = 0.0
-        for v in nodes:
-            nxt[v] = base + damping * (nxt[v] + spread)
-            delta += abs(nxt[v] - rank[v])
+        for d in map(sub, nxt, rank):
+            delta += abs(d)
         rank = nxt
         if delta < tol:
             converged = True
             break
 
-    total = 0.0
-    for v in nodes:
-        total += rank[v]
-    scores = {v: rank[v] / total for v in nodes}
+    total = reduce(add, rank, 0.0)
+    scores = {v: r / total for v, r in zip(g.nodes, rank)}
     return PageRankResult(scores=scores, converged=converged, iterations=iterations)
 
 
-def _tarjan_scc(nodes: Sequence[str], adj: Mapping[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan to keep deep graphs off the Python call stack."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
+def _tarjan_scc(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strong components of the digraph on ids 0..len(adj)-1 whose
+    successors of u are adj[u]. Iterative Tarjan to keep deep graphs off
+    the Python call stack."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             v, child_idx = work[-1]
             if child_idx == 0:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             descended = False
-            children = adj.get(v, [])
+            children = adj[v]
             for ci in range(child_idx, len(children)):
                 w = children[ci]
-                if w not in index:
+                if index[w] < 0:
                     work[-1] = (v, ci + 1)
                     work.append((w, 0))
                     descended = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if descended:
                 continue
             work.pop()
@@ -194,21 +200,24 @@ def _tarjan_scc(nodes: Sequence[str], adj: Mapping[str, list[str]]) -> list[list
                 component = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     component.append(w)
                     if w == v:
                         break
                 components.append(component)
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
     return components
 
 
-def _union_find_wcc(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:
-    parent = {v: v for v in nodes}
+def _union_find_wcc(n: int, edges: Iterable[tuple[int, int, int]]) -> list[list[int]]:
+    """Weak components of the graph on ids 0..n-1 with the given
+    (src_id, dst_id, weight) edges."""
+    parent = list(range(n))
 
-    def find(v: str) -> str:
+    def find(v: int) -> int:
         root = v
         while parent[root] != root:
             root = parent[root]
@@ -216,13 +225,13 @@ def _union_find_wcc(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> l
             parent[v], v = root, parent[v]
         return root
 
-    for src, dst in edges:
+    for src, dst, _ in edges:
         ra, rb = find(src), find(dst)
         if ra != rb:
             parent[rb] = ra
 
-    groups: dict[str, list[str]] = {}
-    for v in nodes:
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return list(groups.values())
 
@@ -255,15 +264,17 @@ def connected_components(g: TalentGraph, mode: str = STRONG) -> ComponentReport:
     ignores it. Components come sorted by size (largest first), ties by
     their smallest node key."""
     if mode == STRONG:
-        adj: dict[str, list[str]] = {v: [] for v in g.nodes}
-        for (src, dst) in sorted(g.edges):
-            adj[src].append(dst)
-        raw = _tarjan_scc(g.nodes, adj)
+        adj: list[list[int]] = [[] for _ in g.nodes]
+        for u, v, _ in _links(g):
+            adj[u].append(v)
+        raw = _tarjan_scc(adj)
     elif mode == WEAK:
-        raw = _union_find_wcc(g.nodes, sorted(g.edges))
+        raw = _union_find_wcc(len(g.nodes), _links(g))
     else:
         raise ValueError(f"unknown component mode {mode!r}")
-    ordered = sorted((tuple(sorted(c)) for c in raw), key=lambda c: (-len(c), c[0] if c else ""))
+    nodes = g.nodes
+    ordered = sorted((tuple(sorted([nodes[i] for i in c])) for c in raw),
+                     key=lambda c: (-len(c), c[0]))
     return ComponentReport(mode=mode, node_count=g.node_count, components=tuple(ordered))
 
 
@@ -517,8 +528,7 @@ def top_k(report: CentralityReport, measure: str, k: int) -> list[tuple[str, flo
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = report.measure(measure)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def write_graph_csv(g: TalentGraph, path) -> None:

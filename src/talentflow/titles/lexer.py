@@ -2,6 +2,8 @@
 
 A title is lowercased, punctuation separators and parentheses are split
 out, and the remaining words are classified against the dictionaries.
+`;` is a separator like `,`, so no token holds the `;` that joins the
+domain and position lists in `normalization_map.csv`.
 Multi-word dictionary phrases match greedily, longest first. Joining the
 token lexemes with single spaces reconstructs the cleaned title exactly.
 A `Token` is an immutable NamedTuple, equal to a plain tuple.
@@ -32,10 +34,10 @@ _CATEGORY_TO_CLASS = {
     DOMAIN: TokenClass.DOMAIN,
 }
 
-SEP_CHARS = frozenset({",", "-", "/", "&"})
+SEP_CHARS = frozenset({",", ";", "-", "/", "&"})
 SEP_WORDS = frozenset({"of", "for", "and", "at", "in"})
 
-_PAD_RE = re.compile(r"([,\-/&()])")
+_PAD_RE = re.compile(r"([,;\-/&()])")
 
 
 class LexicalError(ValueError):

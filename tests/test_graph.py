@@ -228,9 +228,10 @@ def test_pagerank_matches_dense_oracle_on_small_graphs():
 
 
 def _left_to_right_pagerank(g: TalentGraph, damping=0.85, tol=1e-10, max_iter=200):
-    """Power iteration with every float sum a plain loop in node order;
-    also returns how many sweeps' dangling mass `math.fsum` rounds
-    differently, so a caller can tell the graph exercises summation order."""
+    """Power iteration with every float sum a plain loop in node order.
+    Returns the scores; how many sweeps' dangling mass `math.fsum` rounds
+    differently, so a caller can tell the graph exercises summation order;
+    the sweep count; and whether the L1 change fell below `tol`."""
     nodes, n = g.nodes, len(g.nodes)
     out = {v: [] for v in nodes}
     for (src, dst), w in sorted(g.edges.items()):
@@ -238,7 +239,8 @@ def _left_to_right_pagerank(g: TalentGraph, damping=0.85, tol=1e-10, max_iter=20
     wout = {v: sum(w for _, w in out[v]) for v in nodes}  # ints: exact
     rank = {v: 1.0 / n for v in nodes}
     sensitive = 0
-    for _ in range(max_iter):
+    converged = False
+    for iterations in range(1, max_iter + 1):
         nxt = {v: 0.0 for v in nodes}
         for u in nodes:
             for v, w in out[u]:
@@ -254,11 +256,12 @@ def _left_to_right_pagerank(g: TalentGraph, damping=0.85, tol=1e-10, max_iter=20
             delta += abs(nxt[v] - rank[v])
         rank = nxt
         if delta < tol:
+            converged = True
             break
     total = 0.0
     for v in nodes:
         total += rank[v]
-    return {v: rank[v] / total for v in nodes}, sensitive
+    return {v: rank[v] / total for v in nodes}, sensitive, iterations, converged
 
 
 def test_pagerank_is_bit_exact_with_left_to_right_sums():
@@ -271,11 +274,33 @@ def test_pagerank_is_bit_exact_with_left_to_right_sums():
         if src != dst:
             edges[(src, dst)] = rng.randint(1, 9)
     g = TalentGraph(mode=ORG_MODE, nodes=nodes, edges=edges)
-    expected, sensitive = _left_to_right_pagerank(g)
+    expected, sensitive, _, _ = _left_to_right_pagerank(g)
     assert sensitive > 0  # compensated sums would round differently here
     got = weighted_pagerank(g).scores
     assert list(got) == list(nodes)
     assert [repr(got[v]) for v in nodes] == [repr(expected[v]) for v in nodes]
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """1-60 nodes, every one in `nodes`: some isolated, some dangling."""
+    n = draw(st.integers(1, 60))
+    nodes = tuple(f"n{i:02d}" for i in range(n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.dictionaries(pairs, st.integers(1, 9), max_size=4 * n))
+    return TalentGraph(mode=ORG_MODE, nodes=nodes,
+                       edges={(nodes[a], nodes[b]): w
+                              for (a, b), w in edges.items() if a != b})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_graphs(), st.one_of(st.just(200), st.integers(1, 40)))
+def test_pagerank_is_bit_exact_on_random_graphs(g, max_iter):
+    expected, _, iterations, converged = _left_to_right_pagerank(g, max_iter=max_iter)
+    got = weighted_pagerank(g, max_iter=max_iter)
+    assert list(got.scores) == list(g.nodes)
+    assert [repr(got.scores[v]) for v in g.nodes] == [repr(expected[v]) for v in g.nodes]
+    assert (got.iterations, got.converged) == (iterations, converged)
 
 
 def test_weight_scaling_leaves_scores_unchanged():

@@ -105,10 +105,13 @@ TABLE_NAMES = ("a-b.csv", "a.csv", "a_b.csv", "hops.csv", "\u00e9t\u00e9.csv")
 # "a b", "a\x1f") or as UTF-16 ("\ue000" and "\U0001f600").
 KEYS = st.one_of(st.sampled_from(["a", "a b", "a\x1f", "\ue000", "\U0001f600", ""]),
                  st.text(max_size=4))
-# NUL is left out: csv on Python 3.10 rejects it in both readers.
+# NUL is left out: csv on Python 3.10 rejects it in both readers. Lone
+# surrogates (category Cs) are left out: no UTF-8 file can hold one, so
+# writing the table would fail before the report stage runs.
 VALUES = st.one_of(
     st.sampled_from(["", '"', "\\", "\n", "\r\n", "\t\x7f\x1b", "\U0001f600", "\u2028"]),
-    st.text(st.characters(exclude_characters="\x00"), max_size=6))
+    st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)),
+            max_size=6))
 
 
 @st.composite

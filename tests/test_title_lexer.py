@@ -45,6 +45,13 @@ def test_sep_words_and_chars(dicts):
     tokens = tokenize("director of research & development", dicts)
     assert classes(tokens) == [TokenClass.FUNCTION, TokenClass.SEP,
                                TokenClass.DOMAIN, TokenClass.SEP, TokenClass.WORD]
+    # `;` separates like `,`: no token may hold normalization_map.csv's
+    # list separator
+    tokens = tokenize("r;d engineer", dicts)
+    assert [(t.cls, t.lexeme) for t in tokens] == [
+        (TokenClass.WORD, "r"), (TokenClass.SEP, ";"),
+        (TokenClass.WORD, "d"), (TokenClass.FUNCTION, "engineer"),
+    ]
 
 
 def test_multiword_phrase_greedy_longest_first(dicts):
@@ -99,7 +106,7 @@ def test_reconstruction(dicts):
 WORDS = st.sampled_from(["manager", "engineer", "senior", "finance", "software",
                          "research", "of", "and", "blockchain", "zzz", "c++",
                          "human", "resources", "vice", "president"])
-PUNCT = st.sampled_from([",", "-", "/", "&", "(", ")", " ", "  "])
+PUNCT = st.sampled_from([",", ";", "-", "/", "&", "(", ")", " ", "  "])
 
 
 @given(st.lists(st.one_of(WORDS, PUNCT), min_size=1, max_size=10))
