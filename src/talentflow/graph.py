@@ -37,13 +37,25 @@ def job_node_key(title: str, industry: str) -> str:
     return f"{title}|{industry}"
 
 
-class TalentGraph(NamedTuple):
+class TalentGraph(NamedTuple("TalentGraph", [
+        ("mode", str), ("nodes", tuple[str, ...]),
+        ("edges", Mapping[tuple[str, str], int]),
+        ("links", tuple[tuple[int, int, int], ...])])):
     """Immutable weighted digraph. `nodes` is sorted; `edges` maps
-    (src, dst) pairs to positive integer weights; no self-loops."""
+    (src, dst) pairs to positive integer weights; no self-loops.
 
-    mode: str
-    nodes: tuple[str, ...]
-    edges: Mapping[tuple[str, str], int]
+    `links` is derived on construction, so that node ids are mapped once
+    per graph: the edges as (src_id, dst_id, weight), sorted by id pair,
+    where a node's id is its position in `nodes`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mode: str, nodes: tuple[str, ...],
+                edges: Mapping[tuple[str, str], int]) -> "TalentGraph":
+        ids = {v: i for i, v in enumerate(nodes)}
+        links = tuple(sorted([(ids[src], ids[dst], w) for (src, dst), w in edges.items()]))
+        return super().__new__(cls, mode, nodes, edges, links)
 
     @property
     def node_count(self) -> int:
@@ -52,13 +64,6 @@ class TalentGraph(NamedTuple):
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-def _links(g: TalentGraph) -> list[tuple[int, int, int]]:
-    """The edges of `g` as (src_id, dst_id, weight) in `g.edges` order,
-    where a node's id is its position in `g.nodes`."""
-    ids = {v: i for i, v in enumerate(g.nodes)}
-    return [(ids[src], ids[dst], w) for (src, dst), w in g.edges.items()]
 
 
 def build_graph(corpus: HopCorpus, mode: str, edge_min_sup: int = 2) -> TalentGraph:
@@ -94,7 +99,7 @@ def degree_centrality(g: TalentGraph) -> dict[str, tuple[int, int]]:
     counts, ignoring edge weights."""
     in_deg = [0] * len(g.nodes)
     out_deg = [0] * len(g.nodes)
-    for u, v, _ in _links(g):
+    for u, v, _ in g.links:
         out_deg[u] += 1
         in_deg[v] += 1
     return dict(zip(g.nodes, zip(in_deg, out_deg)))
@@ -127,13 +132,13 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
         raise ValueError(f"damping must be in (0, 1), got {damping}")
 
     n = len(g.nodes)
-    links = _links(g)
     out_weight = [0] * n
-    for u, _, w in links:
+    for u, _, w in g.links:
         out_weight[u] += w
-    # One transition probability per link, computed once. Sorted by source,
-    # so that each node's inflow adds its sources in node order.
-    links = sorted([(u, v, w / out_weight[u]) for u, v, w in links])
+    # One transition probability per link, computed once. The links are
+    # sorted by source, so that each node's inflow adds its sources in
+    # node order.
+    links = [(u, v, w / out_weight[u]) for u, v, w in g.links]
     dangling = [u for u in range(n) if out_weight[u] == 0]
 
     rank = [1.0 / n] * n
@@ -265,11 +270,11 @@ def connected_components(g: TalentGraph, mode: str = STRONG) -> ComponentReport:
     their smallest node key."""
     if mode == STRONG:
         adj: list[list[int]] = [[] for _ in g.nodes]
-        for u, v, _ in _links(g):
+        for u, v, _ in g.links:
             adj[u].append(v)
         raw = _tarjan_scc(adj)
     elif mode == WEAK:
-        raw = _union_find_wcc(len(g.nodes), _links(g))
+        raw = _union_find_wcc(len(g.nodes), g.links)
     else:
         raise ValueError(f"unknown component mode {mode!r}")
     nodes = g.nodes
@@ -285,19 +290,20 @@ def sparsity(g: TalentGraph) -> float:
     return float(Fraction(g.edge_count, g.node_count ** 2) * 100)
 
 
-def degree_ccdf(values: Sequence[int]) -> list[tuple[int, Fraction]]:
+def degree_ccdf(values: Sequence[int]) -> list[tuple[int, float]]:
     """Points (x, P(X >= x)) over the observed support, descending in
-    probability; the first point is exactly 1."""
+    probability; the first point is exactly 1. An int over an int is
+    correctly rounded, so each P is the float of the exact Fraction."""
     if not values:
         raise ValueError("ccdf needs at least one value")
     data = sorted(values)
     n = len(data)
-    points: list[tuple[int, Fraction]] = []
+    points: list[tuple[int, float]] = []
     seen = 0
     previous = None
     for v in data:
         if v != previous:
-            points.append((v, Fraction(n - seen, n)))
+            points.append((v, (n - seen) / n))
             previous = v
         seen += 1
     return points
@@ -548,5 +554,5 @@ def write_components_csv(reports: Iterable[ComponentReport], path) -> None:
                for cid, component in enumerate(report.components)))
 
 
-def write_ccdf_csv(points: Sequence[tuple[int, Fraction]], path) -> None:
-    write_csv(path, ["x", "ccdf"], ((x, repr(float(p))) for x, p in points))
+def write_ccdf_csv(points: Sequence[tuple[int, float]], path) -> None:
+    write_csv(path, ["x", "ccdf"], ((x, repr(p)) for x, p in points))

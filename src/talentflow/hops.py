@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
 from .dates import Month, format_years, months_between
 from .ingest import JobSpell, ProfileSet, support_filter
-from .titles import NormalizationMap, identity
 
 
 class HopKind(Enum):
@@ -102,30 +101,30 @@ class HopCorpus:
         return len(self.hops) - self.internal_count
 
 
-def build_hop_corpus(profile_set: ProfileSet, norm_map: NormalizationMap,
-                     title_min_sup: int = 10,
-                     translate: Callable[[str], str] = identity) -> HopCorpus:
-    """Normalize every spell title, drop titles below the support
-    threshold, then extract and classify hops per person.
+def build_hop_corpus(profile_set: ProfileSet, title_of: Mapping[str, str],
+                     title_min_sup: int = 10) -> HopCorpus:
+    """Drop the spells whose normalized title is below the support
+    threshold, then extract and classify hops per person. `title_of`
+    maps every raw spell title of the profile set to its normalized title.
 
     All profiles participate, not only core users. Support is counted on
     normalized titles over spells.
     """
-    def norm(raw_title: str) -> str:
-        return norm_map.normalize(translate(raw_title))
-
+    raw_counts = Counter(s.raw_title for s in profile_set.all_spells())
     counts: Counter[str] = Counter()
-    for spell in profile_set.all_spells():
-        counts[norm(spell.raw_title)] += 1
+    for raw_title, n in raw_counts.items():
+        counts[title_of[raw_title]] += n
     retained = support_filter(counts, title_min_sup)
+
+    def spell_title(spell: JobSpell) -> str:
+        return title_of[spell.raw_title]
 
     hops: list[Hop] = []
     for profile in sorted(profile_set, key=lambda p: p.person_id):
-        surviving = [s for s in profile.spells if norm(s.raw_title) in retained]
+        surviving = [s for s in profile.spells if title_of[s.raw_title] in retained]
         if len(surviving) < 2:
             continue
-        hops.extend(extract_hops(
-            profile.person_id, surviving, lambda s: norm(s.raw_title)))
+        hops.extend(extract_hops(profile.person_id, surviving, spell_title))
 
     return HopCorpus(hops=tuple(hops), retained_titles=frozenset(retained))
 

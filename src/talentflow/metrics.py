@@ -20,16 +20,15 @@ from .artifacts import write_csv
 from .dates import Month, format_years, months_between
 from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
-from .titles import NormalizationMap, identity
 
 
-def work_experience_months(profile: PersonProfile, spell: JobSpell) -> int | None:
-    """Months from the most recent graduation to the end of the spell.
+def work_experience_months(grad: Month | None, spell: JobSpell) -> int | None:
+    """Months from the graduation month `grad` (the profile's
+    `grad_date()`) to the end of the spell.
 
     None when the profile has no dated education. Non-positive results
     are returned as-is; aggregates exclude them.
     """
-    grad = profile.grad_date()
     if grad is None:
         return None
     return months_between(grad, spell.end_date)
@@ -42,6 +41,13 @@ def job_age_months(spell: JobSpell, reference_date: Month) -> int:
 
 def _mean_years(total_months: int, n: int) -> Fraction | None:
     return Fraction(total_months, 12 * n) if n else None
+
+
+def _mean_years_text(total_months: int, n: int) -> str:
+    """`_mean_years` as `format_years` writes it, "" for no value. An int
+    over an int is correctly rounded, so `total_months / (12 * n)` is the
+    float of the exact Fraction and no Fraction is built."""
+    return repr(total_months / (12 * n)) if n else ""
 
 
 class JobHolding(NamedTuple):
@@ -95,41 +101,44 @@ class JobIndex:
         self.age_months = {
             k: _sum_count([h.age_months for h in group]) for k, group in ti.items()}
         # (title, organization) -> holders with positive experience, and the
-        # job level for the jobs that have any.
+        # job level for the jobs that have any, with its decimal text.
         self.job_supports: dict[tuple[str, str], int] = {}
         self.job_levels: dict[tuple[str, str], Fraction] = {}
+        self.job_level_texts: dict[tuple[str, str], str] = {}
         for k, group in tc.items():
             total, n = _sum_count(_positive_wk_months(group))
             self.job_supports[k] = n
             if n:
                 self.job_levels[k] = Fraction(total, 12 * n)
+                self.job_level_texts[k] = _mean_years_text(total, n)
 
     @classmethod
-    def build(cls, profile_set: ProfileSet, norm_map: NormalizationMap,
-              translate: Callable[[str], str] = identity) -> "JobIndex":
-        # (person, title, org) -> (profile, the occupancy as one spell)
-        merged: dict[tuple[str, str, str], tuple[PersonProfile, JobSpell]] = {}
+    def build(cls, profile_set: ProfileSet, title_of: Mapping[str, str]) -> "JobIndex":
+        """The index of the core users' jobs, where `title_of` maps every
+        raw spell title to its normalized title."""
+        # (person, title, org) -> (graduation month, the occupancy as one spell)
+        merged: dict[tuple[str, str, str], tuple[Month | None, JobSpell]] = {}
         for profile in sorted(profile_set, key=lambda p: p.person_id):
             if not is_core_user(profile):
                 continue
+            grad = profile.grad_date()
             for spell in profile.spells:
-                title = norm_map.normalize(translate(spell.raw_title))
-                key = (profile.person_id, title, spell.organization)
+                key = (profile.person_id, title_of[spell.raw_title], spell.organization)
                 seen = merged.get(key)
                 if seen is not None:
                     first = seen[1]
                     spell = first._replace(
                         start_date=min(first.start_date, spell.start_date),
                         end_date=max(first.end_date, spell.end_date))
-                merged[key] = (profile, spell)
+                merged[key] = (grad, spell)
 
         holdings = []
-        for (person_id, title, org), (profile, spell) in sorted(merged.items()):
+        for (person_id, title, org), (grad, spell) in sorted(merged.items()):
             holdings.append(JobHolding(
                 person_id=person_id, title=title, organization=org,
                 industry=spell.industry, start=spell.start_date,
                 end=spell.end_date,
-                wk_months=work_experience_months(profile, spell),
+                wk_months=work_experience_months(grad, spell),
                 age_months=job_age_months(spell, profile_set.reference_date),
             ))
         return cls(holdings)
@@ -308,7 +317,7 @@ def cohort_key_for(profile: PersonProfile, hop: Hop,
 
     None when the hopper has no dated education or non-positive work
     experience at that moment."""
-    wk = work_experience_months(profile, hop.src)
+    wk = work_experience_months(profile.grad_date(), hop.src)
     if wk is None or wk <= 0:
         return None
     return CohortKey(
@@ -461,18 +470,17 @@ def write_job_metrics_csv(idx: JobIndex, path) -> None:
     """Per (title, industry): holder counts and average experience / age."""
     write_csv(path, ["title", "industry", "holdings", "positive_experience_holdings",
                      "avg_work_experience", "avg_job_age"], ((
-        title, industry, len(idx.by_title_industry[(title, industry)]),
-        idx.experience_months[(title, industry)][1],
-        _fmt(avg_work_experience(title, industry, idx)),
-        _fmt(avg_job_age(title, industry, idx)),
-    ) for (title, industry) in sorted(idx.by_title_industry)))
+        *key, len(idx.by_title_industry[key]), idx.experience_months[key][1],
+        _mean_years_text(*idx.experience_months[key]),
+        _mean_years_text(*idx.age_months[key]),
+    ) for key in sorted(idx.by_title_industry)))
 
 
 def write_job_levels_csv(idx: JobIndex, path) -> None:
+    texts = idx.job_level_texts
     write_csv(path, ["title", "organization", "holders", "job_level"],
-              ((title, org, job_support(title, org, idx),
-                _fmt(job_level(title, org, idx)))
-               for (title, org) in sorted(idx.by_title_org)))
+              ((*key, job_support(*key, idx), texts.get(key, ""))
+               for key in sorted(idx.by_title_org)))
 
 
 def write_cohort_csv(table: CohortTable, path) -> None:
@@ -482,15 +490,20 @@ def write_cohort_csv(table: CohortTable, path) -> None:
                for key, external, internal, fraction in table.rows()))
 
 
-def write_level_gains_csv(records: Iterable[LevelGainRecord], path) -> None:
+def write_level_gains_csv(records: Iterable[LevelGainRecord], idx: JobIndex,
+                          path) -> None:
+    """One row per record; the level columns are the texts that `idx`,
+    the index the records were built from, keeps per job."""
+    texts = idx.job_level_texts
     write_csv(path, ["person_id", "src_title", "src_org", "dst_title", "dst_org",
                      "kind", "duration_of_stay", "src_level", "dst_level",
                      "gain", "label", "reason"], ((
         r.hop.person_id, r.hop.src_title, r.hop.src.organization,
         r.hop.dst_title, r.hop.dst.organization, r.hop.kind.value,
         format_years(r.hop.stay_months / 12),
-        _fmt(r.src_level), _fmt(r.dst_level), _fmt(r.gain),
-        r.label.value, r.reason or "",
+        texts.get((r.hop.src_title, r.hop.src.organization), ""),
+        texts.get((r.hop.dst_title, r.hop.dst.organization), ""),
+        _fmt(r.gain), r.label.value, r.reason or "",
     ) for r in records))
 
 

@@ -123,12 +123,22 @@ class RunState:
         return NormalizationMap.from_csv(path, self.config.load_dictionaries())
 
     @cached_property
+    def title_of(self) -> dict[str, str]:
+        """Every raw spell title of the input, normalized: each distinct
+        title is translated and normalized once per run."""
+        profile_set, _ = self.loaded
+        norm_map, translate = self.norm_map, self.translate
+        return {raw: norm_map.normalize(translate(raw))
+                for raw in {s.raw_title for s in profile_set.all_spells()}}
+
+    @cached_property
     def corpus(self) -> HopCorpus:
         return read_hops_csv(_require(self.out / HOPS_CSV, "talentflow extract-hops"))
 
     def release_data(self) -> None:
-        """Free the profiles, the map and the corpus for work on artifacts."""
-        for name in ("loaded", "norm_map", "corpus"):
+        """Free the profiles, the map, the titles and the corpus for work
+        on artifacts."""
+        for name in ("loaded", "norm_map", "title_of", "corpus"):
             self.__dict__.pop(name, None)
 
 
@@ -140,7 +150,9 @@ def stage_parse_titles(state: RunState) -> dict:
     profile_set, report = state.loaded
     write_rejections(report, out / REJECTIONS_CSV)
 
-    counts = Counter(translate(s.raw_title) for s in profile_set.all_spells())
+    counts: Counter[str] = Counter()
+    for raw_title, n in Counter(s.raw_title for s in profile_set.all_spells()).items():
+        counts[translate(raw_title)] += n
     retained = support_filter(counts, config.title_min_sup)
     norm_map = state.norm_map = build_normalization(
         {t: counts[t] for t in retained}, dicts)
@@ -172,9 +184,8 @@ def stage_parse_titles(state: RunState) -> dict:
 def stage_extract_hops(state: RunState) -> dict:
     config, out = state.config, state.out
     profile_set, _ = state.loaded
-    norm_map, translate = state.norm_map, state.translate
     corpus = state.corpus = build_hop_corpus(
-        profile_set, norm_map, config.title_min_sup, translate)
+        profile_set, state.title_of, config.title_min_sup)
     write_hops_csv(corpus, out / HOPS_CSV)
     return {
         "hops": {
@@ -189,14 +200,14 @@ def stage_extract_hops(state: RunState) -> dict:
 def stage_metrics(state: RunState) -> dict:
     config, out = state.config, state.out
     profile_set, _ = state.loaded
-    norm_map, corpus, translate = state.norm_map, state.corpus, state.translate
+    corpus = state.corpus
 
-    idx = JobIndex.build(profile_set, norm_map, translate)
+    idx = JobIndex.build(profile_set, state.title_of)
     write_job_metrics_csv(idx, out / JOB_METRICS_CSV)
     write_job_levels_csv(idx, out / JOB_LEVELS_CSV)
 
     records = build_level_gain_records(corpus, idx, config.job_min_sup)
-    write_level_gains_csv(records, out / LEVEL_GAINS_CSV)
+    write_level_gains_csv(records, idx, out / LEVEL_GAINS_CSV)
     table = promotion_tables(records)
     write_promotion_table_csv(table, out / PROMOTION_TABLE_CSV)
     duration_cells = promotion_vs_duration(records, config.job_min_sup)
@@ -245,8 +256,9 @@ def graph_summary(g: TalentGraph, report: CentralityReport,
 
     fits = {}
     for measure in FITTED_MEASURES:
+        scores = report.measure(measure)
         # node order: the fit sums logs in input order
-        values = [report.measure(measure)[v] for v in report.nodes]
+        values = [scores[v] for v in report.nodes]
         try:
             fits[measure] = fit_power_law(values, x_min=1)._asdict()
         except TailTooSmallError:
@@ -274,7 +286,8 @@ def stage_graph(state: RunState) -> dict:
         write_components_csv(components, out / f"{prefix}_components.csv")
         _write_json(out / f"{prefix}_powerlaw.json", fits)
         for measure in CENTRALITY_MEASURES:
-            values = [report.measure(measure)[v] for v in report.nodes]
+            scores = report.measure(measure)
+            values = [scores[v] for v in report.nodes]
             positive = [v for v in values if v > 0]
             points = degree_ccdf(positive) if positive else []
             write_ccdf_csv(points, out / f"{prefix}_{measure}_ccdf.csv")
@@ -288,7 +301,9 @@ def stage_graph(state: RunState) -> dict:
     return {"graphs": graph_counts}
 
 
-_encode = json.JSONEncoder(ensure_ascii=False).encode  # C string encoder
+# The C string encoder that json.dumps(..., ensure_ascii=False) applies
+# to every str.
+_encode = json.encoder.encode_basestring
 
 
 def _nested_json(value) -> str:
@@ -306,13 +321,15 @@ def _report_table(path: Path) -> Iterator[str]:
         if len(set(header)) < len(header):
             raise ValueError(f"{path}: line {reader.line_num}: "
                              f"header repeats a column name")
-        # a str.format template for one row object, keys in sorted order;
-        # argument i is the encoded field i
-        fields = ",\n".join(
-            "        " + _encode(header[i]).replace("{", "{{").replace("}", "}}")
-            + f": {{{i}}}"
-            for i in sorted(range(len(header)), key=header.__getitem__))
-        template = "      {{\n" + fields + "\n      }}"
+        # One row object is its pieces joined: the keys in sorted order,
+        # each with the text around it, at the even slots, and the encoded
+        # field order[j] at slot 2j + 1.
+        order = sorted(range(len(header)), key=header.__getitem__)
+        pieces = []
+        for j, i in enumerate(order):
+            before = ",\n" if j else "      {\n"
+            pieces += [f"{before}        {_encode(header[i])}: ", ""]
+        pieces.append("\n      }")
         separator = "[\n"
         for row in reader:
             if not row:
@@ -320,9 +337,8 @@ def _report_table(path: Path) -> Iterator[str]:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: {len(row)} "
                                  f"fields, the header has {len(header)}")
-            # a list, not map(): each tuple built from an iterator of unknown
-            # length is resized and then parked in the interpreter's free list
-            yield separator + template.format(*[_encode(v) for v in row])
+            pieces[1::2] = [_encode(row[i]) for i in order]
+            yield separator + "".join(pieces)
             separator = ",\n"
     yield "[]" if separator == "[\n" else "\n    ]"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from talentflow import pipeline
 from talentflow.dates import Month
 from talentflow.ingest import (EducationRecord, JobSpell, PersonProfile,
                                ProfileSet)
-from talentflow.titles import TitleDictionaries
+from talentflow.titles import NormalizationMap, TitleDictionaries
 
 
 REFERENCE = "2020-01"  # the reference date of every test
@@ -42,6 +43,21 @@ def profile_set(profiles) -> ProfileSet:
         for s in p.spells:
             org_industry.setdefault(s.organization, s.industry)
     return ProfileSet(tuple(profiles), m(REFERENCE), org_industry)
+
+
+def title_map(ps: ProfileSet, nmap: NormalizationMap) -> dict[str, str]:
+    """Each raw spell title of `ps` -> its title under `nmap`, as
+    `RunState.title_of` maps them without a translation table."""
+    return {s.raw_title: nmap.normalize(s.raw_title) for s in ps.all_spells()}
+
+
+@pytest.fixture(autouse=True)
+def gc_thresholds():
+    """`cli.main` sets the collector's thresholds for the whole process;
+    each test gets back the thresholds it started with."""
+    before = gc.get_threshold()
+    yield before
+    gc.set_threshold(*before)
 
 
 @pytest.fixture(scope="session")

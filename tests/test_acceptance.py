@@ -33,7 +33,7 @@ from talentflow.metrics import (GainLabel, JobIndex, avg_job_age,
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
-from conftest import spell
+from conftest import spell, title_map
 
 
 def _passed(number: int, message: str) -> None:
@@ -57,8 +57,9 @@ def labeled_corpus(dicts, tmp_path_factory):
     assert not report.rejections
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
-    corpus = build_hop_corpus(ps, nmap, title_min_sup=10)
-    idx = JobIndex.build(ps, nmap)
+    titles = title_map(ps, nmap)
+    corpus = build_hop_corpus(ps, titles, title_min_sup=10)
+    idx = JobIndex.build(ps, titles)
     return ps, nmap, corpus, idx
 
 
@@ -143,8 +144,9 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
 
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
-    corpus = build_hop_corpus(ps, nmap, title_min_sup=10)
-    idx = JobIndex.build(ps, nmap)
+    titles = title_map(ps, nmap)
+    corpus = build_hop_corpus(ps, titles, title_min_sup=10)
+    idx = JobIndex.build(ps, titles)
 
     # --- hop extraction vs O(n^2) pairwise oracle (exact) ----------------
     norm_cache: dict[str, str] = {}
@@ -192,7 +194,7 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
         grads = [e.grad_date for e in p.education if e.grad_date is not None]
         grad = max(grads) if grads else None
         for s in p.spells:
-            got_wk = work_experience_months(p, s)
+            got_wk = work_experience_months(p.grad_date(), s)
             if grad is None:
                 assert got_wk is None
                 continue

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import report_reference
-from talentflow.cli import main
+from talentflow.cli import GC_THRESHOLDS, main
 
 REF = "2020-01"
 
@@ -375,3 +376,16 @@ def test_cli_import_builds_no_dataclass_and_skips_synth():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, encoding="utf-8", check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_pipeline_commands_set_the_gc_policy_and_synth_does_not(corpus_file, tmp_path,
+                                                                gc_thresholds):
+    gc.set_threshold(700, 10, 10)
+    assert run_cli("synth", "--out", str(tmp_path / "p.jsonl"), "--persons", "5") == 0
+    assert gc.get_threshold() == (700, 10, 10)
+    assert run_cli("run", "--input", str(corpus_file), "--out", str(tmp_path / "out"),
+                   "--reference-date", REF) == 0
+    assert gc.get_threshold() == GC_THRESHOLDS
+    gc.set_threshold(700, 10, 10)
+    assert run_cli("report", "--out", str(tmp_path / "out"), "--reference-date", REF) == 0
+    assert gc.get_threshold() == GC_THRESHOLDS

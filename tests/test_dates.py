@@ -72,3 +72,10 @@ def test_month_prints_hashes_and_orders_as_a_year_month_tuple():
     assert sorted([Month(2018, 1), Month(2017, 12), Month(2017, 3)]) == [
         Month(2017, 3), Month(2017, 12), Month(2018, 1)]
     assert len({Month(2017, 3), Month.parse("2017-03")}) == 1
+
+
+@given(st.integers(-10 ** 30, 10 ** 30),
+       st.integers(-10 ** 30, 10 ** 30).filter(lambda b: b != 0))
+def test_int_true_division_renders_as_the_exact_fraction(a, b):
+    # why writers may print repr(total / n) without building a Fraction
+    assert repr(a / b) == format_years(Fraction(a, b))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from talentflow.graph import (JOB_MODE, ORG_MODE, STRONG, WEAK,
 from talentflow.hops import build_hop_corpus
 from talentflow.titles import build_normalization
 
-from conftest import profile, profile_set, spell
+from conftest import profile, profile_set, spell, title_map
 
 
 def graph_of(edges: dict[tuple[str, str], int], mode: str = ORG_MODE) -> TalentGraph:
@@ -45,7 +44,8 @@ def _corpus(dicts, person_specs):
             year += 1
         profiles.append(profile(f"p{i}", spells))
     nmap = build_normalization(titles, dicts)
-    return build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
+    ps = profile_set(profiles)
+    return build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
 
 
 def test_repeated_hops_accumulate_weight(dicts):
@@ -75,7 +75,8 @@ def test_same_job_node_hop_is_no_self_loop(dicts):
         spell("finance manager", "B", "i1", "2011-01", "2011-12"),
     ])]
     nmap = build_normalization({"finance manager": 2}, dicts)
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert len(corpus) == 1
     job_graph = build_graph(corpus, JOB_MODE, edge_min_sup=1)
     assert job_graph.edge_count == 0
@@ -444,11 +445,12 @@ def test_sparsity_published_scale():
 
 def test_ccdf_counting():
     points = degree_ccdf([1, 1, 2])
-    assert points == [(1, Fraction(1)), (2, Fraction(1, 3))]
+    assert points == [(1, 1.0), (2, 1 / 3)]
+    assert all(type(p) is float for _, p in points)
 
 
 def test_ccdf_degenerate_single_step():
-    assert degree_ccdf([4, 4, 4]) == [(4, Fraction(1))]
+    assert degree_ccdf([4, 4, 4]) == [(4, 1.0)]
 
 
 def test_ccdf_matches_sort_oracle_and_is_monotone():

@@ -8,7 +8,7 @@ from talentflow.hops import (HopKind, build_hop_corpus, classify_hop,
                              extract_hops, read_hops_csv, write_hops_csv)
 from talentflow.titles import build_normalization
 
-from conftest import m, profile, profile_set, spell
+from conftest import m, profile, profile_set, spell, title_map
 
 
 def hops_of(spells):
@@ -166,8 +166,9 @@ def test_hop_multiset_unchanged_by_profile_permutation(dicts):
                         spell("data analyst", "o3", "i1", "2013-02", "2014-01")])
     nmap = build_normalization({"finance manager": 5, "sales manager": 5,
                                 "data analyst": 5}, dicts)
-    c1 = build_hop_corpus(profile_set([p1, p2]), nmap, title_min_sup=1)
-    c2 = build_hop_corpus(profile_set([p2, p1]), nmap, title_min_sup=1)
+    ps1, ps2 = profile_set([p1, p2]), profile_set([p2, p1])
+    c1 = build_hop_corpus(ps1, title_map(ps1, nmap), title_min_sup=1)
+    c2 = build_hop_corpus(ps2, title_map(ps2, nmap), title_min_sup=1)
     assert c1.hops == c2.hops
 
 
@@ -180,7 +181,8 @@ def test_corpus_counts_match_recount(dicts):
     ]
     counts = {"finance manager": 10, "manager, finance": 10, "software engineer": 10}
     nmap = build_normalization(counts, dicts)
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert (corpus.internal_count, corpus.external_count) == recount(corpus)
     assert corpus.internal_count + corpus.external_count == len(corpus)
 
@@ -192,7 +194,8 @@ def test_normalized_duplicate_discarded_in_corpus(dicts):
         spell("manager, finance", "o1", "i1", "2011-02", "2012-01"),
     ])]
     nmap = build_normalization({"finance manager": 10, "manager, finance": 5}, dicts)
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert len(corpus) == 0
 
 
@@ -203,7 +206,8 @@ def test_title_min_sup_drops_spells(dicts):
         spell("finance manager", "o3", "i1", "2012-02", "2013-01"),
     ])]
     nmap = build_normalization({"finance manager": 2, "rare title": 1}, dicts)
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=2)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=2)
     # the rare middle spell is dropped; hop goes between the survivors
     assert len(corpus) == 1
     hop = corpus.hops[0]
@@ -217,7 +221,8 @@ def test_high_min_sup_kills_all_hops(dicts):
         spell("software engineer", "o2", "i1", "2011-02", "2012-01"),
     ])]
     nmap = build_normalization({"finance manager": 1, "software engineer": 1}, dicts)
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=100)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=100)
     assert len(corpus) == 0
 
 
@@ -227,7 +232,8 @@ def test_non_core_users_included(dicts):
                        spell("finance manager", "o2", "i1", "2011-02", "2012-01")],
                 skills=())
     nmap = build_normalization({"finance manager": 2}, dicts)
-    corpus = build_hop_corpus(profile_set([p]), nmap, title_min_sup=1)
+    ps = profile_set([p])
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert len(corpus) == 1
 
 
@@ -237,7 +243,8 @@ def test_hop_csv_roundtrip(tmp_path, dicts):
                        spell("manager, finance", "o2", "i2", "2011-02", None)]),
     ]
     nmap = build_normalization({"finance manager": 5, "manager, finance": 5}, dicts)
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     path = tmp_path / "hops.csv"
     write_hops_csv(corpus, path)
     loaded = read_hops_csv(path)
@@ -259,6 +266,7 @@ def test_no_hop_spells_never_overlap(dicts):
         ])
         for i in range(3)
     ]
-    corpus = build_hop_corpus(profile_set(profiles), nmap, title_min_sup=1)
+    ps = profile_set(profiles)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     for h in corpus.hops:
         assert h.src.end_date <= h.dst.start_date

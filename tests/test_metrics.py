@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from talentflow.dates import Month
+from talentflow.dates import Month, format_years
 from talentflow.hops import build_hop_corpus
 from talentflow.ingest import ProfileSet, is_core_user, load_profiles
 from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, JobIndex,
@@ -23,7 +23,7 @@ from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, J
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
-from conftest import m, profile, profile_set, spell
+from conftest import m, profile, profile_set, spell, title_map
 
 REF = Month(2020, 1)
 
@@ -31,20 +31,20 @@ REF = Month(2020, 1)
 def test_work_experience_arithmetic():
     p = profile("p", [], grad="2010-06")
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience_months(p, s) == 36
+    assert work_experience_months(p.grad_date(), s) == 36
 
     same_month = spell("engineer", "Acme", "i1", "2015-01", "2015-01")
     p2 = profile("p", [], grad="2015-01")
-    assert work_experience_months(p2, same_month) == 0
+    assert work_experience_months(p2.grad_date(), same_month) == 0
 
     p3 = profile("p", [], grad="2016-01")
-    assert work_experience_months(p3, same_month) == -12
+    assert work_experience_months(p3.grad_date(), same_month) == -12
 
 
 def test_work_experience_unavailable_without_grad():
     p = profile("p", [], grad=None)
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience_months(p, s) is None
+    assert work_experience_months(p.grad_date(), s) is None
 
 
 def test_job_age_arithmetic():
@@ -65,7 +65,8 @@ def _tiny_index(dicts):
                 grad="2015-01"),                      # wk 0 -> excluded
     ]
     nmap = build_normalization({"finance manager": 10, "manager, finance": 5}, dicts)
-    return JobIndex.build(profile_set(profiles), nmap)
+    ps = profile_set(profiles)
+    return JobIndex.build(ps, title_map(ps, nmap))
 
 
 def test_averages_over_title_industry(dicts):
@@ -101,7 +102,8 @@ def test_index_merges_duplicate_person_job(dicts):
         spell("finance manager", "OrgA", "i1", "2013-01", "2014-01"),
     ], grad="2010-01")]
     nmap = build_normalization({"finance manager": 2}, dicts)
-    idx = JobIndex.build(profile_set(profiles), nmap)
+    ps = profile_set(profiles)
+    idx = JobIndex.build(ps, title_map(ps, nmap))
     assert len(idx.holdings) == 1
     h = idx.holdings[0]
     assert str(h.start) == "2011-01"
@@ -117,7 +119,8 @@ def test_index_uses_core_users_only(dicts):
                 grad=None, skills=()),
     ]
     nmap = build_normalization({"finance manager": 2}, dicts)
-    idx = JobIndex.build(profile_set(profiles), nmap)
+    ps = profile_set(profiles)
+    idx = JobIndex.build(ps, title_map(ps, nmap))
     assert {h.person_id for h in idx.holdings} == {"p1"}
 
 
@@ -129,7 +132,8 @@ def _hop(dicts, src_title, src_org, dst_title, dst_org, months=12):
         spell(dst_title, dst_org, "i1", str(end), None),
     ], grad="2010-01")
     nmap = build_normalization({src_title: 10, dst_title: 10}, dicts)
-    corpus = build_hop_corpus(profile_set([p]), nmap, title_min_sup=1)
+    ps = profile_set([p])
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert len(corpus) == 1
     return corpus.hops[0]
 
@@ -149,7 +153,8 @@ def _index_with_levels(dicts, src_level_years, dst_level_years, holders=10):
                             str(Month(2010 + dst_level_years, 1)))],
             grad="2010-01"))
     nmap = build_normalization({"finance manager": 10, "sales manager": 10}, dicts)
-    return JobIndex.build(profile_set(profiles), nmap)
+    ps = profile_set(profiles)
+    return JobIndex.build(ps, title_map(ps, nmap))
 
 
 def test_level_gain_promotion(dicts):
@@ -199,12 +204,14 @@ def test_promotion_table_counts(dicts):
             f"b{i}", [spell("sales manager", "OrgA", "i1", "2011-01", "2014-01")],
             grad="2010-01"))
     nmap = build_normalization({"finance manager": 10, "sales manager": 10}, dicts)
-    idx3 = JobIndex.build(profile_set(profiles), nmap)
+    ps = profile_set(profiles)
+    idx3 = JobIndex.build(ps, title_map(ps, nmap))
     p = profile("hopper", [
         spell("finance manager", "OrgA", "i1", "2012-01", "2013-01"),
         spell("sales manager", "OrgA", "i1", "2013-01", None),
     ], grad="2010-01")
-    corpus = build_hop_corpus(profile_set([p]), nmap, title_min_sup=1)
+    ps = profile_set([p])
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     records.append(level_gain(corpus.hops[0], idx3, 10))
 
     table = promotion_tables(records)
@@ -257,7 +264,8 @@ def test_cohort_membership_at_source_exit(dicts):
         spell("sales manager", "OrgB", "i1", "2015-07", None),
     ], grad="2013-01", skills=tuple(f"s{i}" for i in range(12)))
     nmap = build_normalization({"finance manager": 5, "sales manager": 5}, dicts)
-    corpus = build_hop_corpus(profile_set([p]), nmap, title_min_sup=1)
+    ps = profile_set([p])
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     key = cohort_key_for(p, corpus.hops[0], REF)
     # wk exp at src end: 2013-01 -> 2015-07 = 2.5y -> bin 2
     # src job age: 2013-01 -> 2020-01 = 7y -> bin 7; 12 skills -> bin 10
@@ -270,7 +278,8 @@ def test_cohort_requires_positive_experience(dicts):
         spell("sales manager", "OrgB", "i1", "2015-07", None),
     ], grad="2016-01")
     nmap = build_normalization({"finance manager": 5, "sales manager": 5}, dicts)
-    corpus = build_hop_corpus(profile_set([p]), nmap, title_min_sup=1)
+    ps = profile_set([p])
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert cohort_key_for(p, corpus.hops[0], REF) is None
 
 
@@ -295,7 +304,7 @@ def test_distribution_summaries_shapes(dicts):
     ]
     nmap = build_normalization({"finance manager": 5, "sales manager": 5}, dicts)
     ps = profile_set(profiles)
-    idx = JobIndex.build(ps, nmap)
+    idx = JobIndex.build(ps, title_map(ps, nmap))
     dists = {d.name: d for d in distribution_summaries(ps, idx)}
     assert dists["skill_count"].summary.median == 20
     assert dists["skill_count"].histogram == ((10, 1), (20, 1), (30, 1))
@@ -312,7 +321,7 @@ def test_degenerate_distribution_single_bin(dicts):
     ]
     nmap = build_normalization({"finance manager": 5}, dicts)
     ps = profile_set(profiles)
-    idx = JobIndex.build(ps, nmap)
+    idx = JobIndex.build(ps, title_map(ps, nmap))
     dists = {d.name: d for d in distribution_summaries(ps, idx)}
     assert dists["work_experience"].histogram == ((2, 4),)
 
@@ -335,8 +344,9 @@ def synth_setup(tmp_path_factory):
     for s in ps.all_spells():
         counts[s.raw_title] = counts.get(s.raw_title, 0) + 1
     nmap = build_normalization(counts, dicts_local)
-    idx = JobIndex.build(ps, nmap)
-    corpus = build_hop_corpus(ps, nmap, title_min_sup=1)
+    titles = title_map(ps, nmap)
+    idx = JobIndex.build(ps, titles)
+    corpus = build_hop_corpus(ps, titles, title_min_sup=1)
     return ps, nmap, idx, corpus
 
 
@@ -405,6 +415,14 @@ def test_job_levels_match_full_scan_oracle(synth_setup):
     assert checked > 50
 
 
+def test_job_level_texts_render_the_exact_levels(synth_setup):
+    _, _, idx, _ = synth_setup
+    assert idx.job_level_texts.keys() == idx.job_levels.keys()
+    assert len(idx.job_levels) > 50
+    for key, level in idx.job_levels.items():
+        assert idx.job_level_texts[key] == format_years(level)
+
+
 def test_label_sign_coherence_and_bounds(synth_setup):
     ps, nmap, idx, corpus = synth_setup
     records = build_level_gain_records(corpus, idx, job_min_sup=2)
@@ -469,8 +487,9 @@ def test_shift_invariance_of_levels_and_gains(dicts):
             out.append(profile(p.person_id, p.spells, grad=str(shifted_grad)))
         return profile_set(out)
 
-    idx0 = JobIndex.build(shifted(0), nmap)
-    idx2 = JobIndex.build(shifted(2), nmap)
+    ps0, ps2 = shifted(0), shifted(2)
+    idx0 = JobIndex.build(ps0, title_map(ps0, nmap))
+    idx2 = JobIndex.build(ps2, title_map(ps2, nmap))
     for key in idx0.by_title_org:
         assert job_level(*key, idx2) == job_level(*key, idx0) + 2
 

@@ -5,7 +5,6 @@ import json
 import tempfile
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,8 +18,9 @@ from talentflow.artifacts import write_atomic
 from talentflow.config import PipelineConfig
 from talentflow.graph import write_ccdf_csv
 from talentflow.hops import Hop, HopCorpus, HopKind, write_hops_csv
-from talentflow.ingest import LoadReport, Rejection, write_rejections
-from talentflow.metrics import GainLabel, LevelGainRecord, write_level_gains_csv
+from talentflow.ingest import LoadReport, Rejection, load_profiles, write_rejections
+from talentflow.metrics import (GainLabel, JobIndex, LevelGainRecord,
+                                write_level_gains_csv)
 from talentflow.pipeline import RunState, stage_report
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 
@@ -61,8 +61,9 @@ FAILING_WRITERS = {
     "write_hops_csv": lambda p: write_hops_csv(
         HopCorpus(_one_then_fail(_HOP), frozenset()), p),
     "write_level_gains_csv": lambda p: write_level_gains_csv(_one_then_fail(
-        LevelGainRecord(_HOP, None, None, None, GainLabel.UNSUPPORTED, "low_support")), p),
-    "write_ccdf_csv": lambda p: write_ccdf_csv(_one_then_fail((1, Fraction(1, 2))), p),
+        LevelGainRecord(_HOP, None, None, None, GainLabel.UNSUPPORTED, "low_support")),
+        JobIndex(()), p),
+    "write_ccdf_csv": lambda p: write_ccdf_csv(_one_then_fail((1, 0.5)), p),
 }
 
 
@@ -98,18 +99,41 @@ def test_one_shot_run_reads_input_once_and_no_artifact_back(tmp_path, monkeypatc
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_one_shot_run_looks_up_each_distinct_title_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl(generate(SynthSpec(persons=60, seed=3)).profiles, corpus)
+    config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
+                            reference_date="2020-01", title_min_sup=1)
+    profile_set, _ = load_profiles(corpus, config.reference_month())
+    looked_up = Counter()
+    lookup = pipeline.NormalizationMap.lookup
+
+    def counted(self, title):
+        looked_up[title] += 1
+        return lookup(self, title)
+
+    monkeypatch.setattr(pipeline.NormalizationMap, "lookup", counted)
+    pipeline.run_pipeline(config)
+    # no translation table: every distinct raw title once, and nothing else
+    assert looked_up == Counter({s.raw_title for s in profile_set.all_spells()})
+
+
 # Sorted as file names "a-b.csv" < "a.csv" < "a_b.csv", but as table keys
 # "a" < "a-b" < "a_b".
 TABLE_NAMES = ("a-b.csv", "a.csv", "a_b.csv", "hops.csv", "\u00e9t\u00e9.csv")
+# Template syntax of str.format and %, in keys and in values.
+TEMPLATE_SYNTAX = ["{0}", "}{", "%s", "%%"]
 # Keys whose order as str differs from their order as encoded JSON ("a" and
 # "a b", "a\x1f") or as UTF-16 ("\ue000" and "\U0001f600").
-KEYS = st.one_of(st.sampled_from(["a", "a b", "a\x1f", "\ue000", "\U0001f600", ""]),
+KEYS = st.one_of(st.sampled_from(["a", "a b", "a\x1f", "\ue000", "\U0001f600", "",
+                                  *TEMPLATE_SYNTAX]),
                  st.text(max_size=4))
 # NUL is left out: csv on Python 3.10 rejects it in both readers. Lone
 # surrogates (category Cs) are left out: no UTF-8 file can hold one, so
 # writing the table would fail before the report stage runs.
 VALUES = st.one_of(
-    st.sampled_from(["", '"', "\\", "\n", "\r\n", "\t\x7f\x1b", "\U0001f600", "\u2028"]),
+    st.sampled_from(["", '"', "\\", "\n", "\r\n", "\t\x7f\x1b", "\U0001f600", "\u2028",
+                     *TEMPLATE_SYNTAX]),
     st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)),
             max_size=6))
 

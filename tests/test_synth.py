@@ -12,6 +12,8 @@ from talentflow.synth import (DOMAINS, FUNCTIONS, POSITIONS, SynthSpec,
                               generate, write_profiles_jsonl, write_sidecar)
 from talentflow.titles import build_normalization
 
+from conftest import title_map
+
 
 def _write(tmp_path, spec):
     result = generate(spec)
@@ -57,7 +59,7 @@ def test_full_overlap_produces_zero_hops(tmp_path, dicts):
     ps, _ = load_profiles(path, Month.parse(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
-    corpus = build_hop_corpus(ps, nmap, title_min_sup=1)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
     assert len(corpus) == 0
 
 
@@ -103,7 +105,7 @@ def test_sidecar_hops_match_pipeline_extraction(tmp_path, dicts):
     ps, _ = load_profiles(path, Month.parse(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
-    corpus = build_hop_corpus(ps, nmap, title_min_sup=1)
+    corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
 
     got = Counter((h.person_id, h.src_title, h.dst_title, h.kind.value)
                   for h in corpus.hops)
