@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
 from .dates import Month, format_years, months_between
@@ -50,20 +50,20 @@ def classify_hop(src: JobSpell, dst: JobSpell) -> HopKind:
 
 
 def extract_hops(person_id: str, spells: Sequence[JobSpell],
-                 title_of: Callable[[JobSpell], str]) -> list[Hop]:
+                 title_of: Mapping[str, str]) -> list[Hop]:
     """All hops between the given spells of one person, with `title_of`
-    supplying the normalized title of each spell."""
+    mapping the raw title of each spell to its normalized title."""
     hops: list[Hop] = []
     for idx, src in enumerate(spells):
         candidates = [s for j, s in enumerate(spells) if j != idx and s.start_date >= src.end_date]
         if not candidates:
             continue
         first_start = min(s.start_date for s in candidates)
-        src_title = title_of(src)
+        src_title = title_of[src.raw_title]
         for dst in candidates:
             if dst.start_date != first_start:
                 continue
-            dst_title = title_of(dst)
+            dst_title = title_of[dst.raw_title]
             kind = classify_hop(src, dst)
             if kind is HopKind.INTERNAL and src_title == dst_title:
                 continue  # duplicate listing of the same job
@@ -110,21 +110,15 @@ def build_hop_corpus(profile_set: ProfileSet, title_of: Mapping[str, str],
     All profiles participate, not only core users. Support is counted on
     normalized titles over spells.
     """
-    raw_counts = Counter(s.raw_title for s in profile_set.all_spells())
-    counts: Counter[str] = Counter()
-    for raw_title, n in raw_counts.items():
-        counts[title_of[raw_title]] += n
+    counts = Counter(title_of[s.raw_title] for s in profile_set.all_spells())
     retained = support_filter(counts, title_min_sup)
-
-    def spell_title(spell: JobSpell) -> str:
-        return title_of[spell.raw_title]
 
     hops: list[Hop] = []
     for profile in sorted(profile_set, key=lambda p: p.person_id):
         surviving = [s for s in profile.spells if title_of[s.raw_title] in retained]
         if len(surviving) < 2:
             continue
-        hops.extend(extract_hops(profile.person_id, surviving, spell_title))
+        hops.extend(extract_hops(profile.person_id, surviving, title_of))
 
     return HopCorpus(hops=tuple(hops), retained_titles=frozenset(retained))
 

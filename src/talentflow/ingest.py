@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from typing import Iterable, Mapping, NamedTuple
 
 from .artifacts import write_csv
@@ -121,15 +122,17 @@ class ProfileSet:
 
 
 def _text(value, name: str) -> str:
-    """A string field, stripped; "" when absent or null. Anything but a
-    string that encodes to UTF-8 (no lone surrogate) raises ValueError."""
+    """A string field, stripped and interned, so that the many records
+    repeating one organization or title share one string; "" when absent
+    or null. Anything but a string that encodes to UTF-8 (no lone
+    surrogate) raises ValueError."""
     if isinstance(value, str):
         if not value.isascii():
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError(f"{name} is not valid Unicode text") from None
-        return value.strip()
+        return sys.intern(value.strip())
     if value is None:
         return ""
     raise ValueError(f"{name} is not a string")

@@ -177,8 +177,6 @@ REASON_ZERO_GAIN = "zero_gain"
 
 class LevelGainRecord(NamedTuple):
     hop: Hop
-    src_level: Fraction | None
-    dst_level: Fraction | None
     gain: Fraction | None
     label: GainLabel
     reason: str | None = None
@@ -202,14 +200,12 @@ def level_gain(hop: Hop, idx: JobIndex, job_min_sup: int = 10) -> LevelGainRecor
         gain = dst_level - src_level
     supports = idx.job_supports
     if supports.get(src_key, 0) < job_min_sup or supports.get(dst_key, 0) < job_min_sup:
-        return LevelGainRecord(hop, src_level, dst_level, gain,
-                               GainLabel.UNSUPPORTED, REASON_LOW_SUPPORT)
+        return LevelGainRecord(hop, gain, GainLabel.UNSUPPORTED, REASON_LOW_SUPPORT)
     if gain > 0:
-        return LevelGainRecord(hop, src_level, dst_level, gain, GainLabel.PROMOTION)
+        return LevelGainRecord(hop, gain, GainLabel.PROMOTION)
     if gain < 0:
-        return LevelGainRecord(hop, src_level, dst_level, gain, GainLabel.DEMOTION)
-    return LevelGainRecord(hop, src_level, dst_level, gain,
-                           GainLabel.UNSUPPORTED, REASON_ZERO_GAIN)
+        return LevelGainRecord(hop, gain, GainLabel.DEMOTION)
+    return LevelGainRecord(hop, gain, GainLabel.UNSUPPORTED, REASON_ZERO_GAIN)
 
 
 def build_level_gain_records(corpus: HopCorpus, idx: JobIndex,

@@ -108,10 +108,6 @@ class RunState:
         self.out.mkdir(parents=True, exist_ok=True)
 
     @cached_property
-    def translate(self) -> Callable[[str], str]:
-        return self.config.load_translator()
-
-    @cached_property
     def loaded(self) -> tuple[ProfileSet, LoadReport]:
         if not self.config.input:
             raise ConfigError("input path is required")
@@ -123,13 +119,21 @@ class RunState:
         return NormalizationMap.from_csv(path, self.config.load_dictionaries())
 
     @cached_property
-    def title_of(self) -> dict[str, str]:
-        """Every raw spell title of the input, normalized: each distinct
-        title is translated and normalized once per run."""
+    def translated(self) -> dict[str, str]:
+        """Every raw spell title of the input, translated: the translator
+        runs once per distinct raw title."""
+        translate = self.config.load_translator()
         profile_set, _ = self.loaded
-        norm_map, translate = self.norm_map, self.translate
-        return {raw: norm_map.normalize(translate(raw))
+        return {raw: translate(raw)
                 for raw in {s.raw_title for s in profile_set.all_spells()}}
+
+    @cached_property
+    def title_of(self) -> dict[str, str]:
+        """Every raw spell title of the input, normalized: the map looks
+        up each distinct translated title once."""
+        translated, lookup = self.translated, self.norm_map.lookup
+        resolved = {t: lookup(t) for t in set(translated.values())}
+        return {raw: resolved[t] for raw, t in translated.items()}
 
     @cached_property
     def corpus(self) -> HopCorpus:
@@ -138,7 +142,7 @@ class RunState:
     def release_data(self) -> None:
         """Free the profiles, the map, the titles and the corpus for work
         on artifacts."""
-        for name in ("loaded", "norm_map", "title_of", "corpus"):
+        for name in ("loaded", "norm_map", "translated", "title_of", "corpus"):
             self.__dict__.pop(name, None)
 
 
@@ -146,13 +150,11 @@ def stage_parse_titles(state: RunState) -> dict:
     """Load profiles, build the title normalization map over titles that
     meet the support threshold, and write the map plus error reports."""
     config, out = state.config, state.out
-    dicts, translate = config.load_dictionaries(), state.translate
+    dicts, translated = config.load_dictionaries(), state.translated
     profile_set, report = state.loaded
     write_rejections(report, out / REJECTIONS_CSV)
 
-    counts: Counter[str] = Counter()
-    for raw_title, n in Counter(s.raw_title for s in profile_set.all_spells()).items():
-        counts[translate(raw_title)] += n
+    counts = Counter(translated[s.raw_title] for s in profile_set.all_spells())
     retained = support_filter(counts, config.title_min_sup)
     norm_map = state.norm_map = build_normalization(
         {t: counts[t] for t in retained}, dicts)

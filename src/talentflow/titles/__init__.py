@@ -4,8 +4,8 @@ from .dictionaries import DictionaryError, TitleDictionaries
 from .grammar import ParsedTitle, ParseErrorCode, TitleParseError, parse
 from .lexer import (LexicalError, Token, TokenClass, clean_title, reconstruct,
                     tokenize)
-from .normalize import (LEXICAL_ERROR_CODE, Normalized, NormalizationMap,
-                        NormalizationStats, ParseFailure, build_normalization)
+from .normalize import (LEXICAL_ERROR_CODE, NormalizationMap, NormalizationStats,
+                        ParseFailure, build_normalization)
 from .translate import TranslationTable, TranslationTableError, identity
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "reconstruct",
     "tokenize",
     "LEXICAL_ERROR_CODE",
-    "Normalized",
     "NormalizationMap",
     "NormalizationStats",
     "ParseFailure",

@@ -4,8 +4,8 @@ Every parseable title maps to the key of its constituent parts; titles
 sharing a key are spelling variants of the same job. The most frequent
 member becomes the canonical surface form (ties broken by shortest
 string, then lexicographically). Unparseable titles are tallied into an
-error rate and pass through normalization unchanged. Records are
-immutable NamedTuples, equal to plain tuples of their fields.
+error rate and pass through normalization cleaned. Records are immutable
+NamedTuples, equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from .grammar import ParsedTitle, TitleParseError, parse
 from .lexer import LexicalError, clean_title, tokenize
 
 LEXICAL_ERROR_CODE = "LEXICAL"
-
-
-class Normalized(NamedTuple):
-    title: str
-    canonical: bool
 
 
 class ParseFailure(NamedTuple):
@@ -67,33 +62,21 @@ class NormalizationMap:
         self.parsed_by_title = dict(parsed_by_title)
         self.failures = failures
         self.stats = stats
-        self._normalized: dict[str, str] = {}
 
-    def lookup(self, title: str) -> Normalized:
-        """Canonical form of a title, with a flag saying whether it is
-        canonical or an unknown/unparseable passthrough. A title the map
-        was built from is not parsed again."""
+    def lookup(self, title: str) -> str:
+        """The canonical form of a title; an unknown or unparseable title
+        passes through cleaned. A title the map was built from is not
+        parsed again."""
         cleaned = clean_title(title)
         if not cleaned:
-            return Normalized(" ".join(title.lower().split()), False)
+            return " ".join(title.lower().split())
         parsed = self.parsed_by_title.get(cleaned)
         if parsed is None:
             try:
                 parsed = parse(tokenize(cleaned, self.dicts))
             except (LexicalError, TitleParseError):
-                return Normalized(cleaned, False)
-        canonical = self.canonical_by_key.get(parsed.key())
-        if canonical is None:
-            return Normalized(cleaned, False)
-        return Normalized(canonical, True)
-
-    def normalize(self, title: str) -> str:
-        """`lookup(title).title`, memoized per distinct title, since a
-        corpus repeats each title many times."""
-        hit = self._normalized.get(title)
-        if hit is None:
-            hit = self._normalized[title] = self.lookup(title).title
-        return hit
+                return cleaned
+        return self.canonical_by_key.get(parsed.key(), cleaned)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["raw_title", "canonical_title", "primary_function",

@@ -48,7 +48,7 @@ def profile_set(profiles) -> ProfileSet:
 def title_map(ps: ProfileSet, nmap: NormalizationMap) -> dict[str, str]:
     """Each raw spell title of `ps` -> its title under `nmap`, as
     `RunState.title_of` maps them without a translation table."""
-    return {s.raw_title: nmap.normalize(s.raw_title) for s in ps.all_spells()}
+    return {s.raw_title: nmap.lookup(s.raw_title) for s in ps.all_spells()}
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ from conftest import m, profile, profile_set, spell, title_map
 
 def hops_of(spells):
     """The hops of one person's spells, titles taken as written."""
-    return extract_hops("p", spells, lambda s: s.raw_title)
+    return extract_hops("p", spells, {s.raw_title: s.raw_title for s in spells})
 
 
 def pairs(hops):

@@ -43,6 +43,15 @@ def test_malformed_line_is_rejected_not_fatal(tmp_path):
     assert report.rejections[0].line_no == 3
 
 
+def test_spells_of_one_organization_share_one_string(tmp_path):
+    lines = [_valid_line(f"p{i}", org=" Acme Corp ") for i in range(1000)]
+    ps, _ = _load(tmp_path, lines)
+    spells = list(ps.all_spells())
+    assert len(spells) == 1000
+    assert len({id(s.organization) for s in spells}) == 1
+    assert spells[0].organization == "Acme Corp"
+
+
 def test_empty_file(tmp_path):
     ps, report = _load(tmp_path, [])
     assert len(ps) == 0

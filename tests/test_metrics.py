@@ -359,7 +359,7 @@ def _oracle_holdings(ps, nmap):
         grads = [e.grad_date for e in p.education if e.grad_date is not None]
         grad = max(grads) if grads else None
         for s in p.spells:
-            title = nmap.normalize(s.raw_title)
+            title = nmap.lookup(s.raw_title)
             key = (p.person_id, title, s.organization)
             row = rows.get(key)
             if row is None:

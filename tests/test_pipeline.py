@@ -23,6 +23,7 @@ from talentflow.metrics import (GainLabel, JobIndex, LevelGainRecord,
                                 write_level_gains_csv)
 from talentflow.pipeline import RunState, stage_report
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
+from talentflow.titles import TranslationTable
 
 
 def _partial_then_fail(p):
@@ -61,7 +62,7 @@ FAILING_WRITERS = {
     "write_hops_csv": lambda p: write_hops_csv(
         HopCorpus(_one_then_fail(_HOP), frozenset()), p),
     "write_level_gains_csv": lambda p: write_level_gains_csv(_one_then_fail(
-        LevelGainRecord(_HOP, None, None, None, GainLabel.UNSUPPORTED, "low_support")),
+        LevelGainRecord(_HOP, None, GainLabel.UNSUPPORTED, "low_support")),
         JobIndex(()), p),
     "write_ccdf_csv": lambda p: write_ccdf_csv(_one_then_fail((1, 0.5)), p),
 }
@@ -102,20 +103,39 @@ def test_one_shot_run_reads_input_once_and_no_artifact_back(tmp_path, monkeypatc
 def test_one_shot_run_looks_up_each_distinct_title_once(tmp_path, monkeypatch):
     corpus = tmp_path / "profiles.jsonl"
     write_profiles_jsonl(generate(SynthSpec(persons=60, seed=3)).profiles, corpus)
-    config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
-                            reference_date="2020-01", title_min_sup=1)
-    profile_set, _ = load_profiles(corpus, config.reference_month())
-    looked_up = Counter()
-    lookup = pipeline.NormalizationMap.lookup
+    settings = dict(input=str(corpus), reference_date="2020-01", title_min_sup=1)
+    profile_set, _ = load_profiles(corpus, PipelineConfig(**settings).reference_month())
+    raw_titles = {s.raw_title for s in profile_set.all_spells()}
+    first, second = sorted(raw_titles)[:2]
+    table = tmp_path / "table.tsv"  # two raw titles, one translation
+    table.write_text(f"{first}\tmerged title\n{second}\tmerged title\n",
+                     encoding="utf-8")
+    calls = {"translate": Counter(), "lookup": Counter()}
 
-    def counted(self, title):
-        looked_up[title] += 1
-        return lookup(self, title)
+    def counted(name, fn):
+        def wrapper(self, title):
+            calls[name][title] += 1
+            return fn(self, title)
+        return wrapper
 
-    monkeypatch.setattr(pipeline.NormalizationMap, "lookup", counted)
-    pipeline.run_pipeline(config)
+    monkeypatch.setattr(TranslationTable, "__call__",
+                        counted("translate", TranslationTable.__call__))
+    monkeypatch.setattr(pipeline.NormalizationMap, "lookup",
+                        counted("lookup", pipeline.NormalizationMap.lookup))
+
     # no translation table: every distinct raw title once, and nothing else
-    assert looked_up == Counter({s.raw_title for s in profile_set.all_spells()})
+    pipeline.run_pipeline(PipelineConfig(**settings, out=str(tmp_path / "plain")))
+    assert calls == {"translate": Counter(), "lookup": Counter(raw_titles)}
+
+    # the translator sees each distinct raw title once; the map looks up
+    # each distinct translated title once
+    calls["lookup"].clear()
+    pipeline.run_pipeline(PipelineConfig(**settings, out=str(tmp_path / "translated"),
+                                         translate_table=str(table)))
+    assert calls == {
+        "translate": Counter(raw_titles),
+        "lookup": Counter(raw_titles - {first, second} | {"merged title"}),
+    }
 
 
 # Sorted as file names "a-b.csv" < "a.csv" < "a_b.csv", but as table keys

@@ -74,7 +74,7 @@ def test_sidecar_variants_map_to_single_canonical(tmp_path, dicts):
     nmap = build_normalization(counts, dicts)
 
     for class_id, data in sidecar["classes"].items():
-        canonicals = {nmap.normalize(member) for member in data["members"]}
+        canonicals = {nmap.lookup(member) for member in data["members"]}
         assert canonicals == {data["canonical"]}, class_id
 
 

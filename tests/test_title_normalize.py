@@ -21,35 +21,34 @@ def test_finance_manager_variants_collapse(dicts):
     nmap = build_normalization(FINANCE_MANAGER_VARIANTS, dicts)
     assert nmap.stats.canonical == 1
     for variant in FINANCE_MANAGER_VARIANTS:
-        result = nmap.lookup(variant)
-        assert result.title == "finance manager"
-        assert result.canonical
+        assert nmap.lookup(variant) == "finance manager"
+    assert set(nmap.canonical_by_key.values()) == {"finance manager"}
 
 
 def test_research_director_forms_collapse(dicts):
     nmap = build_normalization({"research director": 5, "director of research": 9}, dicts)
     assert nmap.stats.canonical == 1
-    assert nmap.normalize("research director") == "director of research"
+    assert nmap.lookup("research director") == "director of research"
 
 
 def test_canonical_is_most_popular(dicts):
     nmap = build_normalization({"manager, finance": 60, "finance manager": 10}, dicts)
-    assert nmap.normalize("finance manager") == "manager , finance"
+    assert nmap.lookup("finance manager") == "manager , finance"
 
 
 def test_tie_breaks_shortest_then_lexicographic(dicts):
     nmap = build_normalization({"manager of finance": 5, "finance manager": 5}, dicts)
-    assert nmap.normalize("manager of finance") == "finance manager"
+    assert nmap.lookup("manager of finance") == "finance manager"
     nmap = build_normalization({"sales engineer": 5, "engineer, sales": 5}, dicts)
     # equal counts; "engineer , sales" cleans longer than "sales engineer"
-    assert nmap.normalize("engineer, sales") == "sales engineer"
+    assert nmap.lookup("engineer, sales") == "sales engineer"
 
 
 def test_case_and_spacing_pool_counts(dicts):
     nmap = build_normalization({"Finance Manager": 30, "finance   manager": 30,
                                 "manager, finance": 59}, dicts)
     # the two spellings clean to one title with count 60, beating 59
-    assert nmap.normalize("manager, finance") == "finance manager"
+    assert nmap.lookup("manager, finance") == "finance manager"
 
 
 def test_stats_invariant(dicts):
@@ -114,32 +113,30 @@ def test_error_rate_never_rises_with_support_threshold(dicts):
     assert rates[-1] == 0
 
 
-def test_unknown_title_passthrough_flagged(dicts):
+def test_unknown_title_passthrough(dicts):
     nmap = build_normalization(FINANCE_MANAGER_VARIANTS, dicts)
-    result = nmap.lookup("zzz specialist")
-    assert result.title == "zzz specialist"
-    assert not result.canonical
+    assert nmap.lookup("zzz specialist") == "zzz specialist"
+    assert "zzz specialist" not in nmap.canonical_by_key.values()
 
 
 def test_unparseable_title_passthrough(dicts):
     nmap = build_normalization(FINANCE_MANAGER_VARIANTS, dicts)
-    result = nmap.lookup("Strategic Synergy")
-    assert result.title == "strategic synergy"
-    assert not result.canonical
-    assert nmap.lookup("???").title == "???"
+    assert nmap.lookup("Strategic Synergy") == "strategic synergy"
+    assert nmap.lookup("???") == "???"
+    assert nmap.lookup("  Two   Words ") == "two words"
+    assert set(nmap.canonical_by_key.values()) == {"finance manager"}
 
 
 def test_normalize_title_examples(dicts):
     nmap = build_normalization(FINANCE_MANAGER_VARIANTS, dicts)
-    for _ in range(2):  # the second pass reads the memo
-        assert nmap.normalize("manager - finance") == "finance manager"
-        assert nmap.normalize("finance manager") == "finance manager"
-        assert nmap.normalize("Strategic Synergy") == "strategic synergy"
+    assert nmap.lookup("manager - finance") == "finance manager"
+    assert nmap.lookup("finance manager") == "finance manager"
+    assert nmap.lookup("Strategic Synergy") == "strategic synergy"
 
 
 def test_unseen_variant_with_known_key_still_maps(dicts):
     nmap = build_normalization({"finance manager": 50}, dicts)
-    assert nmap.normalize("manager / finance") == "finance manager"
+    assert nmap.lookup("manager / finance") == "finance manager"
 
 
 def test_canonical_titles_parse_to_their_own_key(dicts):
@@ -165,8 +162,8 @@ def test_normalize_idempotent(dicts, corpus, probe):
     for t in corpus:
         counts[t] = counts.get(t, 0) + 1
     nmap = build_normalization(counts, dicts)
-    once = nmap.normalize(probe)
-    assert nmap.normalize(once) == once
+    once = nmap.lookup(probe)
+    assert nmap.lookup(once) == once
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,13 +175,13 @@ def test_equivalence_closure(dicts, corpus):
     nmap = build_normalization(counts, dicts)
     parsed = {}
     for t in counts:
-        entry = nmap.parsed_by_title.get(nmap.lookup(t).title)
+        entry = nmap.parsed_by_title.get(nmap.lookup(t))
         if entry is not None:
             parsed[t] = entry
     for a in parsed:
         for b in parsed:
             if parsed[a].key() == parsed[b].key():
-                assert nmap.normalize(a) == nmap.normalize(b)
+                assert nmap.lookup(a) == nmap.lookup(b)
 
 
 def test_determinism_under_input_ordering(dicts):
@@ -211,7 +208,7 @@ def test_csv_roundtrip(tmp_path, dicts):
     loaded = NormalizationMap.from_csv(path, dicts)
     assert loaded.canonical_by_key == nmap.canonical_by_key
     assert loaded.parsed_by_title == nmap.parsed_by_title
-    assert loaded.normalize("manager - finance") == "finance manager"
+    assert loaded.lookup("manager - finance") == "finance manager"
 
     errors = tmp_path / "errors.csv"
     nmap.write_error_report(errors)
