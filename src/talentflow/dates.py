@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
@@ -70,3 +70,18 @@ def format_years(value: Fraction | float) -> str:
     renders as the exact `Fraction(m, 12)` would.
     """
     return repr(float(value))
+
+
+class Texts(dict):
+    """A dict from each key to `fmt(key)`, formatted on its first lookup:
+    a writer formats each distinct month or stay once, not once per row."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt: Callable[..., str]) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.fmt(key)
+        return text

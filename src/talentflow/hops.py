@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
-from .dates import Month, format_years, months_between
+from .dates import Month, Texts, format_years, months_between
 from .ingest import JobSpell, ProfileSet, support_filter
 
 
@@ -131,13 +131,15 @@ HOP_CSV_HEADER = [
 
 
 def write_hops_csv(corpus: HopCorpus, path) -> None:
-    """Hop export, with the stay as a decimal number of years."""
+    """Hop export, with the stay as a decimal number of years. Each
+    distinct month and stay is formatted once."""
+    month, stay = Texts(str), Texts(lambda months: format_years(months / 12))
     write_csv(path, HOP_CSV_HEADER, ((
         h.person_id, h.src_title, h.src.organization, h.src.industry,
-        str(h.src.start_date), str(h.src.end_date),
+        month[h.src.start_date], month[h.src.end_date],
         h.dst_title, h.dst.organization, h.dst.industry,
-        str(h.dst.start_date), str(h.dst.end_date),
-        h.kind.value, format_years(h.stay_months / 12),
+        month[h.dst.start_date], month[h.dst.end_date],
+        h.kind.value, stay[h.stay_months],
     ) for h in corpus.hops))
 
 

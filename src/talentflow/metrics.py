@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
-from .dates import Month, format_years, months_between
+from .dates import Month, Texts, format_years, months_between
 from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
 
@@ -39,14 +39,11 @@ def job_age_months(spell: JobSpell, reference_date: Month) -> int:
     return months_between(spell.start_date, reference_date)
 
 
-def _mean_years(total_months: int, n: int) -> Fraction | None:
-    return Fraction(total_months, 12 * n) if n else None
-
-
 def _mean_years_text(total_months: int, n: int) -> str:
-    """`_mean_years` as `format_years` writes it, "" for no value. An int
-    over an int is correctly rounded, so `total_months / (12 * n)` is the
-    float of the exact Fraction and no Fraction is built."""
+    """The mean `Fraction(total_months, 12 * n)` as `format_years` writes
+    it, "" for no value. An int over an int is correctly rounded, so
+    `total_months / (12 * n)` is the float of the exact Fraction and no
+    Fraction is built."""
     return repr(total_months / (12 * n)) if n else ""
 
 
@@ -142,16 +139,6 @@ class JobIndex:
                 age_months=job_age_months(spell, profile_set.reference_date),
             ))
         return cls(holdings)
-
-
-def avg_work_experience(title: str, industry: str, idx: JobIndex) -> Fraction | None:
-    """Mean positive work experience over holders of (title, industry)."""
-    return _mean_years(*idx.experience_months.get((title, industry), (0, 0)))
-
-
-def avg_job_age(title: str, industry: str, idx: JobIndex) -> Fraction | None:
-    """Mean job age over holders of (title, industry)."""
-    return _mean_years(*idx.age_months.get((title, industry), (0, 0)))
 
 
 def job_level(title: str, organization: str, idx: JobIndex) -> Fraction | None:
@@ -491,12 +478,13 @@ def write_level_gains_csv(records: Iterable[LevelGainRecord], idx: JobIndex,
     """One row per record; the level columns are the texts that `idx`,
     the index the records were built from, keeps per job."""
     texts = idx.job_level_texts
+    stay = Texts(lambda months: format_years(months / 12))
     write_csv(path, ["person_id", "src_title", "src_org", "dst_title", "dst_org",
                      "kind", "duration_of_stay", "src_level", "dst_level",
                      "gain", "label", "reason"], ((
         r.hop.person_id, r.hop.src_title, r.hop.src.organization,
         r.hop.dst_title, r.hop.dst.organization, r.hop.kind.value,
-        format_years(r.hop.stay_months / 12),
+        stay[r.hop.stay_months],
         texts.get((r.hop.src_title, r.hop.src.organization), ""),
         texts.get((r.hop.dst_title, r.hop.dst.organization), ""),
         _fmt(r.gain), r.label.value, r.reason or "",

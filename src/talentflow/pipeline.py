@@ -73,6 +73,9 @@ REPORTED_CSVS = (
       for table in ("graph", "centrality", "components",
                     *(f"{m}_ccdf" for m in CENTRALITY_MEASURES))),
 )
+# The per-hop tables: the report vouches for them by their data row count
+# and byte size, and leaves their rows to the CSV files.
+LINKED_CSVS = (HOPS_CSV, LEVEL_GAINS_CSV)
 
 
 class DependencyError(Exception):
@@ -313,50 +316,76 @@ def _nested_json(value) -> str:
     return _json(value).replace("\n", "\n  ")
 
 
-def _report_table(path: Path) -> Iterator[str]:
-    """The CSV table at `path` as the JSON array `json.dumps` writes for
-    `list(csv.DictReader(...))` at the depth of a report table, one row at
-    a time."""
+def _table_rows(path: Path) -> Iterator[list[str]]:
+    """The header of the CSV table at `path`, then each of its rows, read
+    one at a time. Blank lines are skipped, and an empty file has the
+    header `[]`. A header that repeats a column name, or a row with more or
+    fewer fields than the header, raises `ValueError` naming the file and
+    line."""
     with open(path, "r", encoding="utf-8", newline="") as src:
         reader = csv.reader(src)
         header = next(reader, [])
         if len(set(header)) < len(header):
             raise ValueError(f"{path}: line {reader.line_num}: "
                              f"header repeats a column name")
-        # One row object is its pieces joined: the keys in sorted order,
-        # each with the text around it, at the even slots, and the encoded
-        # field order[j] at slot 2j + 1.
-        order = sorted(range(len(header)), key=header.__getitem__)
-        pieces = []
-        for j, i in enumerate(order):
-            before = ",\n" if j else "      {\n"
-            pieces += [f"{before}        {_encode(header[i])}: ", ""]
-        pieces.append("\n      }")
-        separator = "[\n"
+        yield header
         for row in reader:
             if not row:
                 continue  # a blank line is no row
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: {len(row)} "
                                  f"fields, the header has {len(header)}")
-            pieces[1::2] = [_encode(row[i]) for i in order]
-            yield separator + "".join(pieces)
-            separator = ",\n"
+            yield row
+
+
+def _linked_table(path: Path) -> dict:
+    """The size of the CSV table at `path` and its number of data rows,
+    which is `len(list(csv.DictReader(...)))` of a well-formed table."""
+    rows = _table_rows(path)
+    next(rows)  # the header
+    return {"bytes": path.stat().st_size, "rows": sum(1 for _ in rows)}
+
+
+def _report_table(path: Path) -> Iterator[str]:
+    """The CSV table at `path` as the JSON array `json.dumps` writes for
+    `list(csv.DictReader(...))` at the depth of a report table, one row at
+    a time."""
+    rows = _table_rows(path)
+    header = next(rows)
+    # One row object is its pieces joined: the keys in sorted order, each
+    # with the text around it, at the even slots, and the encoded field
+    # order[j] at slot 2j + 1.
+    order = sorted(range(len(header)), key=header.__getitem__)
+    pieces = []
+    for j, i in enumerate(order):
+        before = ",\n" if j else "      {\n"
+        pieces += [f"{before}        {_encode(header[i])}: ", ""]
+    pieces.append("\n      }")
+    separator = "[\n"
+    for row in rows:
+        pieces[1::2] = [_encode(row[i]) for i in order]
+        yield separator + "".join(pieces)
+        separator = ",\n"
     yield "[]" if separator == "[\n" else "\n    ]"
 
 
-def _report_json(out: Path, files: list[str], powerlaw: dict) -> Iterator[str]:
-    """`report.json` in pieces, each table streamed from its file."""
+def _report_json(out: Path, files: list[str], linked: dict,
+                 powerlaw: dict) -> Iterator[str]:
+    """`report.json` in pieces, each embedded table streamed from its
+    file."""
     yield (f'{{\n  "files": {_nested_json(files)},\n'
+           f'  "linked": {_nested_json(linked)},\n'
            f'  "powerlaw": {_nested_json(powerlaw)},\n  "tables": {{')
     # key order is by stem, which can differ from file order:
     # "dist_a-b.csv" < "dist_a.csv" but "dist_a" < "dist_a-b"
+    tables = sorted((name for name in files if name not in linked),
+                    key=lambda n: n.removesuffix(".csv"))
     separator = "\n"
-    for name in sorted(files, key=lambda n: n.removesuffix(".csv")):
+    for name in tables:
         yield f"{separator}    {_encode(name.removesuffix('.csv'))}: "
         yield from _report_table(out / name)
         separator = ",\n"
-    yield "}\n}\n" if not files else "\n  }\n}\n"
+    yield "}\n}\n" if not tables else "\n  }\n}\n"
 
 
 def stage_report(state: RunState) -> dict:
@@ -365,26 +394,32 @@ def stage_report(state: RunState) -> dict:
     directory are left out, and artifacts not written are skipped.
 
     `report.json` holds the bytes of
-    `json.dumps({"files": [...], "powerlaw": {...}, "tables": {...}},
-    ensure_ascii=False, sort_keys=True, indent=2) + "\\n"`, where each
-    table, keyed by its file name without `.csv`, is
-    `list(csv.DictReader(...))` of that file. It is written one row at a
+    `json.dumps({"files": [...], "linked": {...}, "powerlaw": {...},
+    "tables": {...}}, ensure_ascii=False, sort_keys=True, indent=2) +
+    "\\n"`. `files` names every reported CSV that exists. The per-hop
+    tables (`LINKED_CSVS`) are not copied: `linked` maps each one that
+    exists to `{"bytes": <file size>, "rows": <data rows>}`, with the
+    rows counted as `len(list(csv.DictReader(...)))`. Each other table,
+    keyed by its file name without `.csv`, is `list(csv.DictReader(...))`
+    of that file under `tables`. The document is written one row at a
     time, so no table is held in memory. Blank lines are skipped, and an
-    empty or header-only file is `[]`. A row with more or fewer fields
-    than the header, or a header that repeats a column name, raises
-    `ValueError` naming the file and line, and any earlier `report.json`
-    is left as it was."""
+    empty or header-only file is `[]`, or 0 rows. A row with more or fewer
+    fields than the header, or a header that repeats a column name, in a
+    linked or an embedded table, raises `ValueError` naming the file and
+    line, and any earlier `report.json` is left as it was."""
     state.release_data()  # the report reads only artifacts
     out = state.out
     files = sorted(name for name in REPORTED_CSVS if (out / name).exists())
+    linked = {name: _linked_table(out / name)
+              for name in LINKED_CSVS if name in files}
     powerlaw = {}
     for _, prefix in GRAPH_PREFIXES:
         path = out / f"{prefix}_powerlaw.json"
         if path.exists():
             with open(path, "r", encoding="utf-8") as fh:
                 powerlaw[prefix] = json.load(fh)
-    write_text(out / REPORT_JSON, _report_json(out, files, powerlaw))
-    return {"report": {"tables": len(files)}}
+    write_text(out / REPORT_JSON, _report_json(out, files, linked, powerlaw))
+    return {"report": {"tables": len(files) - len(linked), "linked": len(linked)}}
 
 
 STAGES: tuple[tuple[str, Callable[[RunState], dict]], ...] = (

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,14 @@ def title_map(ps: ProfileSet, nmap: NormalizationMap) -> dict[str, str]:
     return {s.raw_title: nmap.lookup(s.raw_title) for s in ps.all_spells()}
 
 
+def mean_years(sums: dict, key) -> Fraction | None:
+    """The mean in years behind the (total months, holders) pair that
+    `sums` (`JobIndex.experience_months` or `age_months`) keeps for `key`;
+    None when the key has no holder."""
+    total, n = sums.get(key, (0, 0))
+    return Fraction(total, 12 * n) if n else None
+
+
 @pytest.fixture(autouse=True)
 def gc_thresholds():
     """`cli.main` sets the collector's thresholds for the whole process;
@@ -67,15 +76,21 @@ def dicts() -> TitleDictionaries:
 
 def report_reference(out: Path) -> bytes:
     """The bytes `report.json` must have for the artifacts in `out`: every
-    reported table as `csv.DictReader` rows, through `json.dumps`."""
+    reported table as `csv.DictReader` rows through `json.dumps`, except
+    the linked per-hop tables, which are given by size and row count."""
     files = sorted(name for name in pipeline.REPORTED_CSVS if (out / name).exists())
-    tables = {}
+    linked, tables = {}, {}
     for name in files:
         with open(out / name, encoding="utf-8", newline="") as fh:
-            tables[name.removesuffix(".csv")] = list(csv.DictReader(fh))
+            rows = list(csv.DictReader(fh))
+        if name in ("hops.csv", "level_gains.csv"):
+            linked[name] = {"bytes": (out / name).stat().st_size, "rows": len(rows)}
+        else:
+            tables[name.removesuffix(".csv")] = rows
     powerlaw = {prefix: json.loads(path.read_text(encoding="utf-8"))
                 for prefix in ("job", "org")
                 if (path := out / f"{prefix}_powerlaw.json").exists()}
-    payload = {"files": files, "powerlaw": powerlaw, "tables": tables}
+    payload = {"files": files, "linked": linked, "powerlaw": powerlaw,
+               "tables": tables}
     return (json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
             + "\n").encode("utf-8")

@@ -25,15 +25,14 @@ from talentflow.graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, TalentGraph,
 from talentflow.hops import HopKind, build_hop_corpus, extract_hops
 from talentflow.ingest import (JobSpell, PersonProfile, load_profiles,
                                support_filter)
-from talentflow.metrics import (GainLabel, JobIndex, avg_job_age,
-                                avg_work_experience, build_cohort_table,
+from talentflow.metrics import (GainLabel, JobIndex, build_cohort_table,
                                 build_level_gain_records, job_level,
                                 job_support, promotion_tables,
                                 promotion_vs_duration, work_experience_months)
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
-from conftest import spell, title_map
+from conftest import mean_years, spell, title_map
 
 
 def _passed(number: int, message: str) -> None:
@@ -231,8 +230,8 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
         wk = [(e.ordinal - g.ordinal) / 12.0 for (s, e, g) in entries
               if g is not None and e.ordinal > g.ordinal]
         ages = [(reference.ordinal - s.ordinal) / 12.0 for (s, e, g) in entries]
-        got_wk = avg_work_experience(title, industry, idx)
-        got_age = avg_job_age(title, industry, idx)
+        got_wk = mean_years(idx.experience_months, (title, industry))
+        got_age = mean_years(idx.age_months, (title, industry))
         if wk:
             assert rel(float(got_wk), sum(wk) / len(wk))
             checked_ti += 1

@@ -311,14 +311,25 @@ def test_report_aggregates_every_table(corpus_file, tmp_path):
                    "--reference-date", REF) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     written = sorted(p.name for p in out.glob("*.csv") if p.name != "notes.csv")
+    linked = ["hops.csv", "level_gains.csv"]
     assert report["files"] == written
-    assert set(report["tables"]) == {name.removesuffix(".csv") for name in written}
+    assert set(linked) <= set(written)
+    assert sorted(report["linked"]) == linked
+    assert set(report["tables"]) == {name.removesuffix(".csv") for name in written
+                                     if name not in linked}
     assert set(report["powerlaw"]) == {"job", "org"}
     with open(out / "hops.csv", newline="", encoding="utf-8") as fh:
-        assert report["tables"]["hops"] == list(csv.DictReader(fh))
+        hop_rows = list(csv.DictReader(fh))
+    assert hop_rows
+    assert report["linked"]["hops.csv"] == {
+        "bytes": (out / "hops.csv").stat().st_size, "rows": len(hop_rows)}
+    with open(out / "job_levels.csv", newline="", encoding="utf-8") as fh:
+        assert report["tables"]["job_levels"] == list(csv.DictReader(fh))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"]["report"] == {"tables": len(written) - 2, "linked": 2}
 
 
-def _damage_hops(rows: list[list[str]], damage: str) -> None:
+def _damage_table(rows: list[list[str]], damage: str) -> None:
     if damage == "short-row":
         rows[2] = rows[2][:-1]
     elif damage == "long-row":
@@ -327,22 +338,27 @@ def _damage_hops(rows: list[list[str]], damage: str) -> None:
         rows[0][1] = rows[0][0]
 
 
+# hops.csv and level_gains.csv are linked, job_levels.csv is embedded: the
+# report checks the rows of both kinds.
+@pytest.mark.parametrize("name", ["hops.csv", "level_gains.csv", "job_levels.csv"])
 @pytest.mark.parametrize("damage, line", [
     ("short-row", 3), ("long-row", 3), ("repeated-column", 1)])
-def test_report_rejects_malformed_table(corpus_file, tmp_path, capsys, damage, line):
+def test_report_rejects_malformed_table(corpus_file, tmp_path, capsys, damage, line,
+                                        name):
     out = tmp_path / "out"
     assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
                    "--reference-date", REF) == 0
     before = (out / "report.json").read_bytes()
-    with open(out / "hops.csv", newline="", encoding="utf-8") as fh:
+    with open(out / name, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    _damage_hops(rows, damage)
-    with open(out / "hops.csv", "w", newline="", encoding="utf-8") as fh:
+    assert len(rows) >= 3 and len(rows[0]) >= 2, name
+    _damage_table(rows, damage)
+    with open(out / name, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     capsys.readouterr()
 
     assert run_cli("report", "--out", str(out), "--reference-date", REF) == 3
-    assert f"hops.csv: line {line}:" in capsys.readouterr().err
+    assert f"{name}: line {line}:" in capsys.readouterr().err
     assert not (out / "report.json.tmp").exists()
     assert (out / "report.json").read_bytes() == before
 

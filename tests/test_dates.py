@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from talentflow.dates import Month, format_years, months_between
+from talentflow.dates import Month, Texts, format_years, months_between
 
 
 def test_parse_and_str_roundtrip():
@@ -79,3 +79,11 @@ def test_month_prints_hashes_and_orders_as_a_year_month_tuple():
 def test_int_true_division_renders_as_the_exact_fraction(a, b):
     # why writers may print repr(total / n) without building a Fraction
     assert repr(a / b) == format_years(Fraction(a, b))
+
+
+def test_texts_formats_each_distinct_key_once():
+    formatted = []
+    texts = Texts(lambda key: formatted.append(key) or str(key))
+    rows = [Month(2017, 3), Month.parse("2017-03"), Month(2017, 4), Month(2017, 3)]
+    assert [texts[month] for month in rows] == ["2017-03", "2017-03", "2017-04", "2017-03"]
+    assert formatted == [Month(2017, 3), Month(2017, 4)]

@@ -95,6 +95,19 @@ def test_duplicate_person_id_rejected(tmp_path):
     assert "duplicate person_id" in report.rejections[0].reason
 
 
+def test_rejected_line_does_not_claim_its_person_id(tmp_path):
+    # A null title rejects the whole line before its person_id is taken,
+    # so a later valid line with that id is the first one and loads.
+    null_title = json.loads(_valid_line("p1"))
+    null_title["spells"][0]["title"] = None
+    lines = [_valid_line("p0"), json.dumps(null_title), _valid_line("p1", title="manager")]
+    ps, report = _load(tmp_path, lines)
+    assert [(r.line_no, r.reason) for r in report.rejections] == [
+        (2, "spell missing title")]
+    assert [(p.person_id, p.spells[0].raw_title) for p in ps] == [
+        ("p0", "engineer"), ("p1", "manager")]
+
+
 @pytest.mark.parametrize("mutate,reason_part", [
     (lambda r: r.__setitem__("person_id", ""), "person_id"),
     (lambda r: r["spells"][0].__setitem__("start", "2012-13"), "month"),

@@ -13,7 +13,6 @@ from talentflow.hops import build_hop_corpus
 from talentflow.ingest import ProfileSet, is_core_user, load_profiles
 from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, JobIndex,
                                 REASON_LOW_SUPPORT, REASON_ZERO_GAIN,
-                                avg_job_age, avg_work_experience,
                                 build_cohort_table, build_level_gain_records,
                                 cohort_key_for, distribution_summaries,
                                 exact_order, job_age_months, job_level,
@@ -23,7 +22,7 @@ from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, J
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
-from conftest import m, profile, profile_set, spell, title_map
+from conftest import m, mean_years, profile, profile_set, spell, title_map
 
 REF = Month(2020, 1)
 
@@ -71,8 +70,8 @@ def _tiny_index(dicts):
 
 def test_averages_over_title_industry(dicts):
     idx = _tiny_index(dicts)
-    assert avg_work_experience("finance manager", "i1", idx) == Fraction(3)
-    assert avg_job_age("finance manager", "i1", idx) == Fraction(9 + 8 + 6 + 5, 4)
+    assert mean_years(idx.experience_months, ("finance manager", "i1")) == Fraction(3)
+    assert mean_years(idx.age_months, ("finance manager", "i1")) == Fraction(9 + 8 + 6 + 5, 4)
 
 
 def test_job_age_includes_nonpositive_experience_holders(dicts):
@@ -93,7 +92,7 @@ def test_job_level_and_support(dicts):
 
 def test_avg_empty_group_reported_absent(dicts):
     idx = _tiny_index(dicts)
-    assert avg_work_experience("software engineer", "i1", idx) is None
+    assert mean_years(idx.experience_months, ("software engineer", "i1")) is None
 
 
 def test_index_merges_duplicate_person_job(dicts):
@@ -382,8 +381,8 @@ def test_title_industry_means_match_full_scan_oracle(synth_setup):
               if g is not None and e.ordinal > g.ordinal]
         ages = [(ps.reference_date.ordinal - s.ordinal) / 12.0 for (s, e, g) in entries
                 if s.ordinal <= ps.reference_date.ordinal]
-        got_wk = avg_work_experience(title, industry, idx)
-        got_age = avg_job_age(title, industry, idx)
+        got_wk = mean_years(idx.experience_months, (title, industry))
+        got_age = mean_years(idx.age_months, (title, industry))
         if wk:
             assert got_wk is not None
             assert abs(float(got_wk) - sum(wk) / len(wk)) <= 1e-9 * max(1.0, abs(float(got_wk)))
@@ -547,8 +546,8 @@ def test_aggregates_match_full_scan_fraction_means(holdings):
             group = [h for h in holdings if (h.title, h.industry) == (title, industry)]
             wk = _scan_positive_wk(group)
             ages = _scan_ages(group)
-            assert avg_work_experience(title, industry, idx) == _scan_mean(wk)
-            assert avg_job_age(title, industry, idx) == _scan_mean(ages)
+            assert mean_years(idx.experience_months, (title, industry)) == _scan_mean(wk)
+            assert mean_years(idx.age_months, (title, industry)) == _scan_mean(ages)
         for org in ("o1", "o2"):
             wk = _scan_positive_wk(
                 [h for h in holdings if (h.title, h.organization) == (title, org)])
