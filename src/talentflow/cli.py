@@ -9,8 +9,9 @@ Subcommands:
     graph          talent-flow graphs, centralities, components, fits
     report         aggregate all tables into one JSON summary
 
-Exit codes: 0 success, 1 configuration error, 2 I/O or missing-artifact
-error, 3 stage failure.
+`run` and each stage subcommand go through `pipeline.run_stages`, which
+writes manifest.json. Exit codes: 0 success, 1 configuration error, 2 I/O
+or missing-artifact error, 3 stage failure.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, PipelineConfig, build_config, read_config_file
-from .pipeline import (STAGES, DependencyError, RunState, StageFailure,
-                       run_pipeline)
+from .pipeline import STAGES, DependencyError, StageFailure, run_stages
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -146,35 +146,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_stages(config: PipelineConfig, command: str) -> int:
-    try:
-        if command == "run":
-            manifest = run_pipeline(config)
-            counts = manifest["counts"]
-            print(f"pipeline complete: {counts['profiles']['total']} profiles, "
-                  f"{counts['hops']['total']} hops -> {config.out}")
-        else:
-            config.validate()
-            dict(STAGES)[command](RunState(config))
-            print(f"stage {command} complete -> {config.out}")
-    except ConfigError as exc:
-        print(f"talentflow: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DependencyError as exc:
-        print(f"talentflow: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"talentflow: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except StageFailure as exc:
-        print(f"talentflow: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except Exception as exc:  # stage invoked directly, outside run_pipeline
-        print(f"talentflow: stage {command} failed: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
@@ -183,14 +154,26 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "synth":
         return _cmd_synth(args)
     gc.set_threshold(*GC_THRESHOLDS)
-
+    names = [name for name, _ in STAGES] if args.command == "run" else [args.command]
     try:
-        config = _config_from_args(args)
+        manifest = run_stages(_config_from_args(args), names)
     except ConfigError as exc:
         print(f"talentflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    return _run_stages(config, args.command)
+    except (DependencyError, OSError) as exc:  # a missing artifact names its producer
+        prefix = "" if isinstance(exc, DependencyError) else "I/O error: "
+        print(f"talentflow: {prefix}{exc}", file=sys.stderr)
+        return EXIT_IO
+    except StageFailure as exc:
+        print(f"talentflow: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    counts, out = manifest["counts"], manifest["config"]["out"]
+    if args.command == "run":
+        print(f"pipeline complete: {counts['profiles']['total']} profiles, "
+              f"{counts['hops']['total']} hops -> {out}")
+    else:
+        print(f"stage {args.command} complete -> {out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
-"""Batch pipeline stages and the artifact directory layout.
+"""Batch pipeline stages, their one driver and the artifact directory layout.
 
-A one-shot run hands one `RunState` through the five stages, so the
-profiles, the title normalization map and the hop corpus pass between
-them in memory. A staged subcommand gets a fresh state, which loads them
-from the input and the artifacts of earlier stages; both paths write
-identical artifact bytes. Every artifact is written atomically (temp
-file, then rename) by `talentflow.artifacts`; the JSON layouts of the
-power-law summaries, the manifest and the report are defined here.
+`run_stages` runs the named stages over one `RunState`: `run` names all
+five, a stage subcommand its own. So a one-shot run passes the profiles,
+the title normalization map and the hop corpus between stages in memory,
+and a staged subcommand loads them from the input and the artifacts of
+earlier stages; both write identical artifacts and manifest counts. Every
+artifact is written atomically (temp file, then rename) by
+`talentflow.artifacts`; the JSON layouts of the power-law summaries, the
+manifest and the report are defined here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .artifacts import write_csv, write_text
@@ -98,7 +99,7 @@ def _require(path: Path, producer: str) -> Path:
 
 
 class RunState:
-    """What the stages of one process share; the data loads on first use.
+    """What the stages of one `run_stages` call share, loaded on first use.
 
     A stage that builds the normalization map or the hop corpus stores it
     here, so the later stages of a one-shot run use it as built; in a
@@ -432,28 +433,44 @@ STAGES: tuple[tuple[str, Callable[[RunState], dict]], ...] = (
 
 
 class StageFailure(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A stage error that is not an I/O, missing-artifact or config error."""
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Run all stages in order over one `RunState` and write the manifest.
-    Returns the manifest payload."""
+def _earlier_manifest(path: Path) -> tuple[dict, dict]:
+    """The `counts` and `timings.stage_seconds` of the manifest at `path`,
+    or two empty dicts if it is missing, unreadable or foreign (invalid
+    UTF-8 or JSON, nested too deeply, or not of the manifest's shape)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        earlier = manifest["counts"], manifest["timings"]["stage_seconds"]
+    except (OSError, ValueError, RecursionError, LookupError, TypeError):
+        return {}, {}
+    return earlier if all(isinstance(d, dict) for d in earlier) else ({}, {})
+
+
+def run_stages(config: PipelineConfig, names: Sequence[str]) -> dict:
+    """Validate `config`, then run the named stages of `STAGES` (read when
+    called) in order over one `RunState`, timing each, and write the
+    manifest; returns its payload. A stage error other than an I/O,
+    missing-artifact or configuration error is raised as `StageFailure`,
+    and a failing call writes no manifest. Names that do not start at
+    parse-titles add their counts and seconds to those of the manifest
+    already in the output directory (see `_earlier_manifest`)."""
     config.validate()
     state = RunState(config)
+    counts, stage_seconds = (({}, {}) if names[0] == STAGES[0][0]
+                             else _earlier_manifest(state.out / MANIFEST_JSON))
+    stages = dict(STAGES)
     started = _dt.datetime.now(_dt.timezone.utc)
-    counts: dict = {}
-    stage_seconds: dict[str, float] = {}
-    for name, stage in STAGES:
+    for name in names:
         t0 = time.perf_counter()
         try:
-            counts.update(stage(state))
+            counts.update(stages[name](state))
         except (OSError, DependencyError, ConfigError):
             raise
         except Exception as exc:
-            raise StageFailure(name, exc) from exc
+            raise StageFailure(f"stage {name} failed: {exc}") from exc
         stage_seconds[name] = round(time.perf_counter() - t0, 3)
     finished = _dt.datetime.now(_dt.timezone.utc)
     manifest = {

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import report_reference
+from talentflow import pipeline
 from talentflow.cli import GC_THRESHOLDS, main
 
 REF = "2020-01"
@@ -29,8 +30,15 @@ def corpus_file(tmp_path_factory) -> Path:
     return path
 
 
+STAGE_NAMES = [name for name, _ in pipeline.STAGES]
+
+
 def _artifact_names(out: Path) -> set[str]:
     return {p.name for p in out.iterdir()}
+
+
+def _manifest(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
 
 
 def test_run_produces_all_artifacts(corpus_file, tmp_path):
@@ -192,15 +200,20 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
         staged = tmp_path / case / "staged"
         base = ["--input", str(input_path), "--reference-date", REF, *flags]
         assert run_cli("run", *base, "--out", str(one_shot)) == 0, case
-        for stage in ("parse-titles", "extract-hops", "metrics", "graph", "report"):
+        for stage in STAGE_NAMES:
             assert run_cli(stage, *base, "--out", str(staged)) == 0, (case, stage)
 
-        one_files = {p.name for p in one_shot.iterdir()} - {"manifest.json"}
+        one_files = {p.name for p in one_shot.iterdir()}
         staged_files = {p.name for p in staged.iterdir()}
         assert one_files == staged_files, case
-        for name in sorted(one_files):
+        for name in sorted(one_files - {"manifest.json"}):
             assert (one_shot / name).read_bytes() == (staged / name).read_bytes(), \
                 (case, name)
+        # the five stage processes leave the one-shot run's counts; the
+        # config echo can differ, and timings always do
+        one_manifest, staged_manifest = (_manifest(out) for out in (one_shot, staged))
+        assert staged_manifest["counts"] == one_manifest["counts"], case
+        assert set(staged_manifest["timings"]["stage_seconds"]) == set(STAGE_NAMES), case
         assert (one_shot / "report.json").read_bytes() == report_reference(one_shot), case
 
     with open(tmp_path / "hostile" / "one" / "rejections.csv", newline="",
@@ -224,6 +237,64 @@ def test_stagewise_equals_one_shot(corpus_file, tmp_path):
     assert any(row[:2] == ["job", "scc_count"] for row in stats)
     assert json.loads((out / "org_powerlaw.json").read_text(encoding="utf-8")) == {
         "in_degree": {"error": "EMPTY_GRAPH"}, "out_degree": {"error": "EMPTY_GRAPH"}}
+
+
+def test_staged_graph_replaces_only_its_counts_in_the_manifest(corpus_file, tmp_path):
+    out = tmp_path / "out"
+    args = ["--input", str(corpus_file), "--out", str(out), "--reference-date", REF]
+    assert run_cli("run", *args) == 0
+    before = _manifest(out)
+    assert run_cli("graph", *args, "--edge-min-sup", "3") == 0
+    after = _manifest(out)
+
+    assert after["config"] == {**before["config"], "edge_min_sup": 3}
+    graphs = before["counts"].pop("graphs")
+    assert after["counts"].pop("graphs") != graphs
+    assert after["counts"] == before["counts"]
+    seconds = [m["timings"].pop("stage_seconds") for m in (before, after)]
+    assert set(seconds[1]) == set(STAGE_NAMES)
+    del seconds[0]["graph"], seconds[1]["graph"]
+    assert seconds[1] == seconds[0]
+    for manifest in (before, after):
+        manifest.pop("config"), manifest.pop("counts"), manifest.pop("timings")
+    assert after == before
+
+
+def test_foreign_manifest_before_a_staged_process_is_ignored(corpus_file, tmp_path):
+    out = tmp_path / "out"
+    args = ["--input", str(corpus_file), "--out", str(out), "--reference-date", REF]
+    assert run_cli("run", *args) == 0
+    graphs = _manifest(out)["counts"]["graphs"]
+    # not an object, invalid UTF-8, no timings, nested too deeply, and
+    # non-object counts in an otherwise well-shaped manifest
+    for foreign in (b"[]", b"\xff\xfe{", b'{"counts": 3}', b"[" * 100_000,
+                    b'{"counts": [], "timings": {"stage_seconds": {}}}'):
+        (out / "manifest.json").write_bytes(foreign)
+        assert run_cli("graph", *args) == 0, foreign[:8]
+        manifest = _manifest(out)
+        assert manifest["counts"] == {"graphs": graphs}, foreign[:8]
+        assert list(manifest["timings"]["stage_seconds"]) == ["graph"], foreign[:8]
+
+
+def test_stage_error_exits_three_from_run_and_from_its_subcommand(
+        corpus_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    args = ["--input", str(corpus_file), "--out", str(out), "--reference-date", REF]
+    assert run_cli("run", *args) == 0
+    before = (out / "manifest.json").read_bytes()
+
+    def boom(state):
+        raise RuntimeError("boom")
+
+    # the driver reads pipeline.STAGES when called, as the benchmark
+    # tracer needs
+    monkeypatch.setattr(pipeline, "STAGES", tuple(
+        (name, boom if name == "metrics" else stage) for name, stage in pipeline.STAGES))
+    capsys.readouterr()
+    for command in ("run", "metrics"):
+        assert run_cli(command, *args) == 3, command
+        assert capsys.readouterr().err == "talentflow: stage metrics failed: boom\n"
+        assert (out / "manifest.json").read_bytes() == before, command
 
 
 def test_runs_are_byte_identical_modulo_timings(corpus_file, tmp_path):
@@ -349,6 +420,7 @@ def test_report_rejects_malformed_table(corpus_file, tmp_path, capsys, damage, l
     assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
                    "--reference-date", REF) == 0
     before = (out / "report.json").read_bytes()
+    manifest = (out / "manifest.json").read_bytes()
     with open(out / name, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) >= 3 and len(rows[0]) >= 2, name
@@ -361,6 +433,7 @@ def test_report_rejects_malformed_table(corpus_file, tmp_path, capsys, damage, l
     assert f"{name}: line {line}:" in capsys.readouterr().err
     assert not (out / "report.json.tmp").exists()
     assert (out / "report.json").read_bytes() == before
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def test_cli_usage_error_exits_one(capsys):

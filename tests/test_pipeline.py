@@ -25,6 +25,8 @@ from talentflow.pipeline import RunState, stage_report
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TranslationTable
 
+ALL_STAGES = [name for name, _ in pipeline.STAGES]  # what `run` names
+
 
 def _partial_then_fail(p):
     with open(p, "w", encoding="utf-8") as fh:
@@ -94,8 +96,9 @@ def test_one_shot_run_reads_input_once_and_no_artifact_back(tmp_path, monkeypatc
     monkeypatch.setattr(pipeline.NormalizationMap, "from_csv", staticmethod(
         counted("from_csv", pipeline.NormalizationMap.from_csv)))
 
-    pipeline.run_pipeline(PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
-                                         reference_date="2020-01", title_min_sup=1))
+    pipeline.run_stages(PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
+                                       reference_date="2020-01", title_min_sup=1),
+                        ALL_STAGES)
     assert calls == {"load_profiles": 1}
     assert (tmp_path / "out" / "report.json").exists()
 
@@ -124,14 +127,14 @@ def test_one_shot_run_looks_up_each_distinct_title_once(tmp_path, monkeypatch):
                         counted("lookup", pipeline.NormalizationMap.lookup))
 
     # no translation table: every distinct raw title once, and nothing else
-    pipeline.run_pipeline(PipelineConfig(**settings, out=str(tmp_path / "plain")))
+    pipeline.run_stages(PipelineConfig(**settings, out=str(tmp_path / "plain")), ALL_STAGES)
     assert calls == {"translate": Counter(), "lookup": Counter(raw_titles)}
 
     # the translator sees each distinct raw title once; the map looks up
     # each distinct translated title once
     calls["lookup"].clear()
-    pipeline.run_pipeline(PipelineConfig(**settings, out=str(tmp_path / "translated"),
-                                         translate_table=str(table)))
+    pipeline.run_stages(PipelineConfig(**settings, out=str(tmp_path / "translated"),
+                                       translate_table=str(table)), ALL_STAGES)
     assert calls == {
         "translate": Counter(raw_titles),
         "lookup": Counter(raw_titles - {first, second} | {"merged title"}),
@@ -206,7 +209,7 @@ def test_report_holds_no_table_in_memory(tmp_path):
     write_profiles_jsonl(generate(SynthSpec(persons=300, seed=3)).profiles, corpus)
     config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
                             reference_date="2020-01", title_min_sup=1)
-    pipeline.run_pipeline(config)
+    pipeline.run_stages(config, ALL_STAGES)
     state = RunState(config)
     tracemalloc.start()
     try:
@@ -215,3 +218,29 @@ def test_report_holds_no_table_in_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < (tmp_path / "out" / "report.json").stat().st_size / 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(50, 200), st.data())
+def test_line_order_changes_no_artifact(seed, persons, data):
+    """A synth corpus has unique person ids and one industry per
+    organization, so the order of its lines is no input of the run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus = root / "profiles.jsonl"
+        write_profiles_jsonl(generate(SynthSpec(persons=persons, seed=seed)).profiles,
+                             corpus)
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        shuffled = root / "shuffled.jsonl"
+        shuffled.write_text("\n".join(data.draw(st.permutations(lines))) + "\n",
+                            encoding="utf-8")
+        for path in (corpus, shuffled):
+            pipeline.run_stages(PipelineConfig(input=str(path), out=str(root / path.stem),
+                                               reference_date="2020-01", title_min_sup=1),
+                                ALL_STAGES)
+        names = sorted(p.name for p in (root / "profiles").iterdir())
+        assert names == sorted(p.name for p in (root / "shuffled").iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (root / "profiles" / name).read_bytes() == \
+                    (root / "shuffled" / name).read_bytes(), name
