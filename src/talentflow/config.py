@@ -100,12 +100,12 @@ def _convert(name: str, raw: str):
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value file; `#` starts a comment line. Keys must be
+    """Flat UTF-8 key=value file; `#` starts a comment line. Keys must be
     config field names with dashes or underscores."""
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -5,6 +5,8 @@ job levels and level gains with promotion/demotion labels, cohort-grouped
 external-hop fractions, and distribution summaries. Durations are kept as
 integer months; an exact `Fraction` of years is formed only for a mean, a
 gain or a quartile interpolation, and rendered as a decimal on export.
+Each job keeps only its (total months, holders) sums, so a hop's label
+is the sign of an integer and its gain one Fraction of integers.
 No job age is negative, as `load_profiles` rejects future-dated spells.
 Records are immutable NamedTuples, equal to plain tuples of their fields.
 """
@@ -64,92 +66,81 @@ class JobHolding(NamedTuple):
     age_months: int
 
 
-def _positive_wk_months(holdings: Iterable[JobHolding]) -> list[int]:
-    """Work-experience months of the holdings, positive values only."""
-    return [h.wk_months for h in holdings if (h.wk_months or 0) > 0]
-
-
-def _sum_count(months: list[int]) -> tuple[int, int]:
-    return sum(months), len(months)
+def _positive_wk(h: JobHolding) -> int:
+    """The holding's work-experience months if positive, else 0: the
+    experience aggregates exclude non-positive values."""
+    return h.wk_months if (h.wk_months or 0) > 0 else 0
 
 
 class JobIndex:
-    """Holdings indexed by (title, industry) and by (title, organization),
-    with the per-job aggregates that the metrics read.
+    """The core users' holdings, and per key the (total months, count)
+    that the metrics read.
 
-    Built once from core users with normalized titles; immutable
-    afterwards. Work-experience aggregates use only positive values.
+    `experience_months` (positive experience only) and `age_months` are
+    keyed by (title, industry); `job_months` (positive experience only)
+    by (title, organization), with every job present, holders or not.
+    A job's level is `Fraction(total, 12 * n)` over its `job_months`;
+    `job_level_texts` keeps its decimal text for the jobs with holders.
     """
 
-    def __init__(self, holdings: Sequence[JobHolding]):
+    def __init__(self, holdings: Iterable[JobHolding]):
         self.holdings = tuple(holdings)
-        ti: dict[tuple[str, str], list[JobHolding]] = {}
-        tc: dict[tuple[str, str], list[JobHolding]] = {}
+        experience: dict[tuple[str, str], tuple[int, int]] = {}
+        age: dict[tuple[str, str], tuple[int, int]] = {}
+        job: dict[tuple[str, str], tuple[int, int]] = {}
         for h in self.holdings:
-            ti.setdefault((h.title, h.industry), []).append(h)
-            tc.setdefault((h.title, h.organization), []).append(h)
-        self.by_title_industry = {k: tuple(v) for k, v in ti.items()}
-        self.by_title_org = {k: tuple(v) for k, v in tc.items()}
-
-        # (title, industry) -> (sum, count) of positive experience months
-        # and of age months.
-        self.experience_months = {
-            k: _sum_count(_positive_wk_months(group)) for k, group in ti.items()}
-        self.age_months = {
-            k: _sum_count([h.age_months for h in group]) for k, group in ti.items()}
-        # (title, organization) -> holders with positive experience, and the
-        # job level for the jobs that have any, with its decimal text.
-        self.job_supports: dict[tuple[str, str], int] = {}
-        self.job_levels: dict[tuple[str, str], Fraction] = {}
-        self.job_level_texts: dict[tuple[str, str], str] = {}
-        for k, group in tc.items():
-            total, n = _sum_count(_positive_wk_months(group))
-            self.job_supports[k] = n
-            if n:
-                self.job_levels[k] = Fraction(total, 12 * n)
-                self.job_level_texts[k] = _mean_years_text(total, n)
+            wk = _positive_wk(h)
+            key = (h.title, h.industry)
+            total, n = experience.get(key, (0, 0))
+            experience[key] = (total + wk, n + (wk > 0))
+            total, n = age.get(key, (0, 0))
+            age[key] = (total + h.age_months, n + 1)
+            key = (h.title, h.organization)
+            total, n = job.get(key, (0, 0))
+            job[key] = (total + wk, n + (wk > 0))
+        self.experience_months = experience
+        self.age_months = age
+        self.job_months = job
+        self.job_level_texts = {k: _mean_years_text(total, n)
+                                for k, (total, n) in job.items() if n}
 
     @classmethod
     def build(cls, profile_set: ProfileSet, title_of: Mapping[str, str]) -> "JobIndex":
         """The index of the core users' jobs, where `title_of` maps every
-        raw spell title to its normalized title."""
-        # (person, title, org) -> (graduation month, the occupancy as one spell)
-        merged: dict[tuple[str, str, str], tuple[Month | None, JobSpell]] = {}
+        raw spell title to its normalized title. Holdings come in
+        (person, title, organization) order."""
+        reference = profile_set.reference_date
+        holdings = []
         for profile in sorted(profile_set, key=lambda p: p.person_id):
             if not is_core_user(profile):
                 continue
             grad = profile.grad_date()
+            # (title, org) -> the person's occupancy of that job as one spell
+            jobs: dict[tuple[str, str], JobSpell] = {}
             for spell in profile.spells:
-                key = (profile.person_id, title_of[spell.raw_title], spell.organization)
-                seen = merged.get(key)
-                if seen is not None:
-                    first = seen[1]
+                key = (title_of[spell.raw_title], spell.organization)
+                first = jobs.get(key)
+                if first is not None:
                     spell = first._replace(
                         start_date=min(first.start_date, spell.start_date),
                         end_date=max(first.end_date, spell.end_date))
-                merged[key] = (grad, spell)
-
-        holdings = []
-        for (person_id, title, org), (grad, spell) in sorted(merged.items()):
-            holdings.append(JobHolding(
-                person_id=person_id, title=title, organization=org,
-                industry=spell.industry, start=spell.start_date,
-                end=spell.end_date,
-                wk_months=work_experience_months(grad, spell),
-                age_months=job_age_months(spell, profile_set.reference_date),
-            ))
+                jobs[key] = spell
+            for (title, org), spell in sorted(jobs.items()):
+                holdings.append(JobHolding(
+                    person_id=profile.person_id, title=title, organization=org,
+                    industry=spell.industry, start=spell.start_date,
+                    end=spell.end_date,
+                    wk_months=work_experience_months(grad, spell),
+                    age_months=job_age_months(spell, reference),
+                ))
         return cls(holdings)
 
 
 def job_level(title: str, organization: str, idx: JobIndex) -> Fraction | None:
     """Mean positive work experience over holders of (title, organization);
     a proxy for the seniority level of that job."""
-    return idx.job_levels.get((title, organization))
-
-
-def job_support(title: str, organization: str, idx: JobIndex) -> int:
-    """Number of holders contributing to the job's level."""
-    return idx.job_supports.get((title, organization), 0)
+    total, n = idx.job_months.get((title, organization), (0, 0))
+    return Fraction(total, 12 * n) if n else None
 
 
 class GainLabel(Enum):
@@ -178,19 +169,17 @@ def level_gain(hop: Hop, idx: JobIndex, job_min_sup: int = 10) -> LevelGainRecor
     """
     if job_min_sup < 1:
         raise ValueError(f"job_min_sup must be >= 1, got {job_min_sup}")
-    src_key = (hop.src_title, hop.src.organization)
-    dst_key = (hop.dst_title, hop.dst.organization)
-    src_level = idx.job_levels.get(src_key)
-    dst_level = idx.job_levels.get(dst_key)
-    gain = None
-    if src_level is not None and dst_level is not None:
-        gain = dst_level - src_level
-    supports = idx.job_supports
-    if supports.get(src_key, 0) < job_min_sup or supports.get(dst_key, 0) < job_min_sup:
+    months = idx.job_months
+    t_s, n_s = months.get((hop.src_title, hop.src.organization), (0, 0))
+    t_d, n_d = months.get((hop.dst_title, hop.dst.organization), (0, 0))
+    # dst level - src level = t_d/(12 n_d) - t_s/(12 n_s)
+    diff = t_d * n_s - t_s * n_d
+    gain = Fraction(diff, 12 * n_s * n_d) if n_s and n_d else None
+    if n_s < job_min_sup or n_d < job_min_sup:
         return LevelGainRecord(hop, gain, GainLabel.UNSUPPORTED, REASON_LOW_SUPPORT)
-    if gain > 0:
+    if diff > 0:
         return LevelGainRecord(hop, gain, GainLabel.PROMOTION)
-    if gain < 0:
+    if diff < 0:
         return LevelGainRecord(hop, gain, GainLabel.DEMOTION)
     return LevelGainRecord(hop, gain, GainLabel.UNSUPPORTED, REASON_ZERO_GAIN)
 
@@ -425,9 +414,9 @@ def distribution_summaries(profile_set: ProfileSet, idx: JobIndex) -> list[Distr
     """Distributions of skill count, work experience, job age and job
     level, computed over core users, in `DISTRIBUTION_NAMES` order."""
     skills = [len(p.skills) for p in profile_set if is_core_user(p)]
-    wk = _positive_wk_months(idx.holdings)
+    wk = [v for v in map(_positive_wk, idx.holdings) if v]
     ages = [h.age_months for h in idx.holdings]
-    levels = list(idx.job_levels.values())
+    levels = [Fraction(total, 12 * n) for total, n in idx.job_months.values() if n]
     parts = (
         (_histogram(skills), quartiles(skills)),
         (_histogram(v // 12 for v in wk), _in_years(quartiles(wk))),
@@ -453,17 +442,17 @@ def write_job_metrics_csv(idx: JobIndex, path) -> None:
     """Per (title, industry): holder counts and average experience / age."""
     write_csv(path, ["title", "industry", "holdings", "positive_experience_holdings",
                      "avg_work_experience", "avg_job_age"], ((
-        *key, len(idx.by_title_industry[key]), idx.experience_months[key][1],
+        *key, idx.age_months[key][1], idx.experience_months[key][1],
         _mean_years_text(*idx.experience_months[key]),
         _mean_years_text(*idx.age_months[key]),
-    ) for key in sorted(idx.by_title_industry)))
+    ) for key in sorted(idx.age_months)))
 
 
 def write_job_levels_csv(idx: JobIndex, path) -> None:
     texts = idx.job_level_texts
     write_csv(path, ["title", "organization", "holders", "job_level"],
-              ((*key, job_support(*key, idx), texts.get(key, ""))
-               for key in sorted(idx.by_title_org)))
+              ((*key, idx.job_months[key][1], texts.get(key, ""))
+               for key in sorted(idx.job_months)))
 
 
 def write_cohort_csv(table: CohortTable, path) -> None:

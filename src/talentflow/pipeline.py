@@ -230,8 +230,8 @@ def stage_metrics(state: RunState) -> dict:
     return {
         "metrics": {
             "holdings": len(idx.holdings),
-            "jobs": len(idx.by_title_org),
-            "title_industry_pairs": len(idx.by_title_industry),
+            "jobs": len(idx.job_months),
+            "title_industry_pairs": len(idx.age_months),
             "promotion_labels": table._asdict(),
             "cohorts": len(cohorts.cells),
         },

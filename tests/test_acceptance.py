@@ -27,8 +27,8 @@ from talentflow.ingest import (JobSpell, PersonProfile, load_profiles,
                                support_filter)
 from talentflow.metrics import (GainLabel, JobIndex, build_cohort_table,
                                 build_level_gain_records, job_level,
-                                job_support, promotion_tables,
-                                promotion_vs_duration, work_experience_months)
+                                promotion_tables, promotion_vs_duration,
+                                work_experience_months)
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
 from talentflow.titles import TitleDictionaries, build_normalization
 
@@ -247,7 +247,7 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
         got = job_level(title, org, idx)
         if wk:
             assert rel(float(got), sum(wk) / len(wk))
-            assert job_support(title, org, idx) == len(wk)
+            assert idx.job_months[(title, org)][1] == len(wk)
             checked_tc += 1
         else:
             assert got is None

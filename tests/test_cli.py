@@ -338,6 +338,16 @@ def test_invalid_config_values_rejected(tmp_path, corpus_file):
                    "--reference-date", "season 3") == 1
 
 
+def test_undecodable_config_file_is_config_error(tmp_path, corpus_file, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"title-min-sup=\xff2\n")
+    assert run_cli("run", "--config", str(cfg), "--input", str(corpus_file),
+                   "--out", str(tmp_path / "o"), "--reference-date", REF) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("talentflow: configuration error: cannot read config file ")
+    assert str(cfg) in err
+
+
 def test_translate_table_applied(tmp_path, dicts):
     profiles = tmp_path / "p.jsonl"
     rows = []

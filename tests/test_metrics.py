@@ -9,14 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from talentflow.dates import Month, format_years
-from talentflow.hops import build_hop_corpus
+from talentflow.hops import Hop, HopKind, build_hop_corpus
 from talentflow.ingest import ProfileSet, is_core_user, load_profiles
 from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, JobIndex,
                                 REASON_LOW_SUPPORT, REASON_ZERO_GAIN,
                                 build_cohort_table, build_level_gain_records,
                                 cohort_key_for, distribution_summaries,
                                 exact_order, job_age_months, job_level,
-                                job_support, level_gain, promotion_tables,
+                                level_gain, promotion_tables,
                                 promotion_vs_duration, quartiles,
                                 work_experience_months)
 from talentflow.synth import SynthSpec, generate, write_profiles_jsonl
@@ -77,16 +77,16 @@ def test_averages_over_title_industry(dicts):
 def test_job_age_includes_nonpositive_experience_holders(dicts):
     # p4 has zero work experience but a valid job age
     idx = _tiny_index(dicts)
-    group = idx.by_title_industry[("finance manager", "i1")]
-    assert len(group) == 4
+    assert idx.age_months[("finance manager", "i1")][1] == 4
+    assert idx.experience_months[("finance manager", "i1")][1] == 3
 
 
 def test_job_level_and_support(dicts):
     idx = _tiny_index(dicts)
     assert job_level("finance manager", "OrgA", idx) == Fraction(4)
-    assert job_support("finance manager", "OrgA", idx) == 2
+    assert idx.job_months[("finance manager", "OrgA")] == (96, 2)
     assert job_level("finance manager", "OrgB", idx) == Fraction(1)
-    assert job_support("finance manager", "OrgB", idx) == 1  # zero-exp holder excluded
+    assert idx.job_months[("finance manager", "OrgB")] == (12, 1)  # zero-exp holder excluded
     assert job_level("finance manager", "OrgZ", idx) is None
 
 
@@ -108,6 +108,34 @@ def test_index_merges_duplicate_person_job(dicts):
     assert str(h.start) == "2011-01"
     assert str(h.end) == "2014-01"
     assert h.wk_months == 48
+
+
+def test_index_merges_a_person_job_split_by_another_job(dicts):
+    # A and A' are one (title, org) with B between them; p2 comes first in
+    # the set but after p1 in id order
+    profiles = [
+        profile("p2", [
+            spell("finance manager", "OrgB", "i2", "2012-01", "2014-01"),   # A
+            spell("finance manager", "OrgA", "i1", "2014-01", "2015-01"),   # B
+            spell("finance manager", "OrgB", "i2", "2011-01", "2013-01"),   # A'
+        ], grad="2010-01"),
+        profile("p1", [
+            spell("sales manager", "OrgA", "i1", "2011-01", "2012-01"),
+            spell("finance manager", "OrgA", "i1", "2012-01", "2013-01"),
+        ], grad="2010-01"),
+    ]
+    nmap = build_normalization({"finance manager": 4, "sales manager": 1}, dicts)
+    ps = profile_set(profiles)
+    idx = JobIndex.build(ps, title_map(ps, nmap))
+    assert [(h.person_id, h.title, h.organization) for h in idx.holdings] == [
+        ("p1", "finance manager", "OrgA"), ("p1", "sales manager", "OrgA"),
+        ("p2", "finance manager", "OrgA"), ("p2", "finance manager", "OrgB")]
+    merged = idx.holdings[3]
+    assert (str(merged.start), str(merged.end)) == ("2011-01", "2014-01")
+    assert merged.industry == "i2"
+    assert merged.wk_months == 48
+    assert merged.age_months == 108
+    assert idx.job_months[("finance manager", "OrgB")] == (48, 1)
 
 
 def test_index_uses_core_users_only(dicts):
@@ -407,7 +435,7 @@ def test_job_levels_match_full_scan_oracle(synth_setup):
         got = job_level(title, org, idx)
         if wk:
             assert abs(float(got) - sum(wk) / len(wk)) <= 1e-9
-            assert job_support(title, org, idx) == len(wk)
+            assert idx.job_months[(title, org)][1] == len(wk)
             checked += 1
         else:
             assert got is None
@@ -416,9 +444,10 @@ def test_job_levels_match_full_scan_oracle(synth_setup):
 
 def test_job_level_texts_render_the_exact_levels(synth_setup):
     _, _, idx, _ = synth_setup
-    assert idx.job_level_texts.keys() == idx.job_levels.keys()
-    assert len(idx.job_levels) > 50
-    for key, level in idx.job_levels.items():
+    levels = {key: job_level(*key, idx) for key, (_, n) in idx.job_months.items() if n}
+    assert idx.job_level_texts.keys() == levels.keys()
+    assert len(levels) > 50
+    for key, level in levels.items():
         assert idx.job_level_texts[key] == format_years(level)
 
 
@@ -489,7 +518,7 @@ def test_shift_invariance_of_levels_and_gains(dicts):
     ps0, ps2 = shifted(0), shifted(2)
     idx0 = JobIndex.build(ps0, title_map(ps0, nmap))
     idx2 = JobIndex.build(ps2, title_map(ps2, nmap))
-    for key in idx0.by_title_org:
+    for key in idx0.job_months:
         assert job_level(*key, idx2) == job_level(*key, idx0) + 2
 
     hop = _hop(dicts, "finance manager", "OrgA", "sales manager", "OrgB")
@@ -552,7 +581,38 @@ def test_aggregates_match_full_scan_fraction_means(holdings):
             wk = _scan_positive_wk(
                 [h for h in holdings if (h.title, h.organization) == (title, org)])
             assert job_level(title, org, idx) == _scan_mean(wk)
-            assert job_support(title, org, idx) == len(wk)
+            assert idx.job_months.get((title, org), (0, 0))[1] == len(wk)
+
+
+_JOBS = [(t, o) for t in ("t1", "t2", "t3", "absent") for o in ("o1", "o2")]
+
+
+@given(_holdings, st.integers(1, 4))
+def test_level_gain_is_the_exact_level_difference(holdings, job_min_sup):
+    idx = JobIndex(holdings)
+    for src in _JOBS:
+        for dst in _JOBS:
+            hop = Hop("p1", spell(src[0], src[1], "i1", "2010-01", "2011-01"),
+                      spell(dst[0], dst[1], "i1", "2011-01", None),
+                      src[0], dst[0], HopKind.EXTERNAL, 12)
+            record = level_gain(hop, idx, job_min_sup)
+            src_level, dst_level = job_level(*src, idx), job_level(*dst, idx)
+            if src_level is None or dst_level is None:
+                assert record.gain is None
+            else:
+                assert record.gain == dst_level - src_level
+            supports = [len(_scan_positive_wk(
+                [h for h in holdings if (h.title, h.organization) == job]))
+                for job in (src, dst)]
+            if min(supports) < job_min_sup:
+                assert record == (hop, record.gain, GainLabel.UNSUPPORTED,
+                                  REASON_LOW_SUPPORT)
+            elif record.gain > 0:
+                assert record == (hop, record.gain, GainLabel.PROMOTION, None)
+            elif record.gain < 0:
+                assert record == (hop, record.gain, GainLabel.DEMOTION, None)
+            else:
+                assert record == (hop, 0, GainLabel.UNSUPPORTED, REASON_ZERO_GAIN)
 
 
 @given(_holdings)

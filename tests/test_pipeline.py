@@ -244,3 +244,37 @@ def test_line_order_changes_no_artifact(seed, persons, data):
             if name != "manifest.json":
                 assert (root / "profiles" / name).read_bytes() == \
                     (root / "shuffled" / name).read_bytes(), name
+
+
+# Lines that `load_profiles` rejects: each leaves every artifact but the
+# rejection list and the files that count or embed it as it was.
+_NULL_TITLE = json.dumps({"person_id": "null-title", "spells": [
+    {"title": None, "organization": "OrgA", "industry": "i1", "start": "2010-01"}]})
+_REJECTABLE = [b"{not json", b'{"person_id": "bad-\xff"}', _NULL_TITLE.encode()]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.integers(50, 150), st.data())
+def test_rejected_lines_change_only_rejections_report_and_manifest(seed, persons, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus = root / "profiles.jsonl"
+        write_profiles_jsonl(generate(SynthSpec(persons=persons, seed=seed)).profiles, corpus)
+        clean = corpus.read_bytes()
+        duplicate = data.draw(st.sampled_from(clean.splitlines()))
+        bad = data.draw(st.lists(st.sampled_from(_REJECTABLE + [duplicate]),
+                                 min_size=1, max_size=6))
+        dirty = root / "dirty.jsonl"
+        dirty.write_bytes(clean + b"\n".join(bad) + b"\n")
+        for path in (corpus, dirty):
+            pipeline.run_stages(PipelineConfig(input=str(path), out=str(root / path.stem),
+                                               reference_date="2020-01", title_min_sup=1),
+                                ALL_STAGES)
+        with open(root / "dirty" / "rejections.csv", encoding="utf-8", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == len(bad)
+        names = sorted(p.name for p in (root / "profiles").iterdir())
+        assert names == sorted(p.name for p in (root / "dirty").iterdir())
+        for name in names:
+            if name not in ("rejections.csv", "report.json", "manifest.json"):
+                assert (root / "profiles" / name).read_bytes() == \
+                    (root / "dirty" / name).read_bytes(), name
