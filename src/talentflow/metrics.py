@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
-from .dates import Month, Texts, format_years, months_between
+from .dates import Month, format_years, months_between
 from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
 
@@ -464,16 +464,14 @@ def write_cohort_csv(table: CohortTable, path) -> None:
 
 def write_level_gains_csv(records: Iterable[LevelGainRecord], idx: JobIndex,
                           path) -> None:
-    """One row per record; the level columns are the texts that `idx`,
-    the index the records were built from, keeps per job."""
+    """One row per record, in record order, with only the record's own
+    columns: the levels of the hop's source and destination jobs (the
+    texts that `idx`, the index the records were built from, keeps per
+    job; "" for a job without holders), the gain, the label and the
+    reason. The hop itself is not repeated: records built from
+    `corpus.hops` make row i the gain of hop i of `hops.csv`."""
     texts = idx.job_level_texts
-    stay = Texts(lambda months: format_years(months / 12))
-    write_csv(path, ["person_id", "src_title", "src_org", "dst_title", "dst_org",
-                     "kind", "duration_of_stay", "src_level", "dst_level",
-                     "gain", "label", "reason"], ((
-        r.hop.person_id, r.hop.src_title, r.hop.src.organization,
-        r.hop.dst_title, r.hop.dst.organization, r.hop.kind.value,
-        stay[r.hop.stay_months],
+    write_csv(path, ["src_level", "dst_level", "gain", "label", "reason"], ((
         texts.get((r.hop.src_title, r.hop.src.organization), ""),
         texts.get((r.hop.dst_title, r.hop.dst.organization), ""),
         _fmt(r.gain), r.label.value, r.reason or "",

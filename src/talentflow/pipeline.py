@@ -312,9 +312,10 @@ def stage_graph(state: RunState) -> dict:
 _encode = json.encoder.encode_basestring
 
 
-def _nested_json(value) -> str:
-    """`value` as `_write_json` lays it out, one level deeper."""
-    return _json(value).replace("\n", "\n  ")
+def _compact_json(value) -> str:
+    """`value` as `report.json` lays it out: sorted keys, no whitespace."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":"))
 
 
 def _table_rows(path: Path) -> Iterator[list[str]]:
@@ -348,45 +349,33 @@ def _linked_table(path: Path) -> dict:
 
 
 def _report_table(path: Path) -> Iterator[str]:
-    """The CSV table at `path` as the JSON array `json.dumps` writes for
-    `list(csv.DictReader(...))` at the depth of a report table, one row at
-    a time."""
+    """The CSV table at `path` as the compact JSON object
+    `{"columns": [header], "rows": [[fields], ...]}`, one row at a time."""
     rows = _table_rows(path)
-    header = next(rows)
-    # One row object is its pieces joined: the keys in sorted order, each
-    # with the text around it, at the even slots, and the encoded field
-    # order[j] at slot 2j + 1.
-    order = sorted(range(len(header)), key=header.__getitem__)
-    pieces = []
-    for j, i in enumerate(order):
-        before = ",\n" if j else "      {\n"
-        pieces += [f"{before}        {_encode(header[i])}: ", ""]
-    pieces.append("\n      }")
-    separator = "[\n"
+    yield '{"columns":[' + ",".join(map(_encode, next(rows))) + '],"rows":['
+    separator = ""
     for row in rows:
-        pieces[1::2] = [_encode(row[i]) for i in order]
-        yield separator + "".join(pieces)
-        separator = ",\n"
-    yield "[]" if separator == "[\n" else "\n    ]"
+        yield separator + "[" + ",".join(map(_encode, row)) + "]"
+        separator = ","
+    yield "]}"
 
 
 def _report_json(out: Path, files: list[str], linked: dict,
                  powerlaw: dict) -> Iterator[str]:
     """`report.json` in pieces, each embedded table streamed from its
     file."""
-    yield (f'{{\n  "files": {_nested_json(files)},\n'
-           f'  "linked": {_nested_json(linked)},\n'
-           f'  "powerlaw": {_nested_json(powerlaw)},\n  "tables": {{')
+    yield (f'{{"files":{_compact_json(files)},"linked":{_compact_json(linked)},'
+           f'"powerlaw":{_compact_json(powerlaw)},"tables":{{')
     # key order is by stem, which can differ from file order:
     # "dist_a-b.csv" < "dist_a.csv" but "dist_a" < "dist_a-b"
     tables = sorted((name for name in files if name not in linked),
                     key=lambda n: n.removesuffix(".csv"))
-    separator = "\n"
+    separator = ""
     for name in tables:
-        yield f"{separator}    {_encode(name.removesuffix('.csv'))}: "
+        yield f"{separator}{_encode(name.removesuffix('.csv'))}:"
         yield from _report_table(out / name)
-        separator = ",\n"
-    yield "}\n}\n" if not tables else "\n  }\n}\n"
+        separator = ","
+    yield "}}\n"
 
 
 def stage_report(state: RunState) -> dict:
@@ -396,18 +385,21 @@ def stage_report(state: RunState) -> dict:
 
     `report.json` holds the bytes of
     `json.dumps({"files": [...], "linked": {...}, "powerlaw": {...},
-    "tables": {...}}, ensure_ascii=False, sort_keys=True, indent=2) +
-    "\\n"`. `files` names every reported CSV that exists. The per-hop
-    tables (`LINKED_CSVS`) are not copied: `linked` maps each one that
-    exists to `{"bytes": <file size>, "rows": <data rows>}`, with the
-    rows counted as `len(list(csv.DictReader(...)))`. Each other table,
-    keyed by its file name without `.csv`, is `list(csv.DictReader(...))`
-    of that file under `tables`. The document is written one row at a
-    time, so no table is held in memory. Blank lines are skipped, and an
-    empty or header-only file is `[]`, or 0 rows. A row with more or fewer
-    fields than the header, or a header that repeats a column name, in a
-    linked or an embedded table, raises `ValueError` naming the file and
-    line, and any earlier `report.json` is left as it was."""
+    "tables": {...}}, ensure_ascii=False, sort_keys=True,
+    separators=(",", ":")) + "\\n"`. `files` names every reported CSV
+    that exists. The per-hop tables (`LINKED_CSVS`) are not copied:
+    `linked` maps each one that exists to `{"bytes": <file size>,
+    "rows": <data rows>}`, with the rows counted as
+    `len(list(csv.DictReader(...)))`. Each other table, keyed by its file
+    name without `.csv`, is `{"columns": <header>, "rows": [<fields>,
+    ...]}` under `tables`: the header in file order, and each data row as
+    its list of field strings. The document is written one row at a
+    time, so no table is held in memory. Blank lines are skipped; an
+    empty file is `{"columns": [], "rows": []}` and a header-only file
+    has no rows. A row with more or fewer fields than the header, or a
+    header that repeats a column name, in a linked or an embedded table,
+    raises `ValueError` naming the file and line, and any earlier
+    `report.json` is left as it was."""
     state.release_data()  # the report reads only artifacts
     out = state.out
     files = sorted(name for name in REPORTED_CSVS if (out / name).exists())

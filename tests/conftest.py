@@ -76,21 +76,25 @@ def dicts() -> TitleDictionaries:
 
 def report_reference(out: Path) -> bytes:
     """The bytes `report.json` must have for the artifacts in `out`: every
-    reported table as `csv.DictReader` rows through `json.dumps`, except
-    the linked per-hop tables, which are given by size and row count."""
+    reported table as its `csv.reader` header and non-blank rows through
+    one compact `json.dumps`, except the linked per-hop tables, which are
+    given by size and `csv.DictReader` row count."""
     files = sorted(name for name in pipeline.REPORTED_CSVS if (out / name).exists())
     linked, tables = {}, {}
     for name in files:
         with open(out / name, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if name in ("hops.csv", "level_gains.csv"):
-            linked[name] = {"bytes": (out / name).stat().st_size, "rows": len(rows)}
-        else:
-            tables[name.removesuffix(".csv")] = rows
+            if name in ("hops.csv", "level_gains.csv"):
+                linked[name] = {"bytes": (out / name).stat().st_size,
+                                "rows": len(list(csv.DictReader(fh)))}
+                continue
+            header, *rows = list(csv.reader(fh)) or [[]]
+        tables[name.removesuffix(".csv")] = {
+            "columns": header,
+            "rows": [row for row in rows if row]}  # blank lines are no rows
     powerlaw = {prefix: json.loads(path.read_text(encoding="utf-8"))
                 for prefix in ("job", "org")
                 if (path := out / f"{prefix}_powerlaw.json").exists()}
     payload = {"files": files, "linked": linked, "powerlaw": powerlaw,
                "tables": tables}
-    return (json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-            + "\n").encode("utf-8")
+    return (json.dumps(payload, ensure_ascii=False, sort_keys=True,
+                       separators=(",", ":")) + "\n").encode("utf-8")

@@ -315,6 +315,27 @@ def test_runs_are_byte_identical_modulo_timings(corpus_file, tmp_path):
             assert a == b, name
 
 
+def test_artifacts_do_not_depend_on_the_hash_seed(corpus_file, tmp_path):
+    # str hashes, and so the order of every set and of dicts built from
+    # sets, change with PYTHONHASHSEED; no artifact byte may follow them
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed-{seed}"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        subprocess.run([sys.executable, "-m", "talentflow.cli", "run",
+                        "--input", str(corpus_file), "--out", str(out),
+                        "--reference-date", REF, "--title-min-sup", "1",
+                        "--edge-min-sup", "1"],
+                       env=env, capture_output=True, check=True)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_config_file_with_flag_override(corpus_file, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -404,10 +425,35 @@ def test_report_aggregates_every_table(corpus_file, tmp_path):
     assert hop_rows
     assert report["linked"]["hops.csv"] == {
         "bytes": (out / "hops.csv").stat().st_size, "rows": len(hop_rows)}
+    job_levels = report["tables"]["job_levels"]
     with open(out / "job_levels.csv", newline="", encoding="utf-8") as fh:
-        assert report["tables"]["job_levels"] == list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        assert [dict(zip(job_levels["columns"], row)) for row in job_levels["rows"]] \
+            == list(reader)
+        assert job_levels["columns"] == reader.fieldnames
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["counts"]["report"] == {"tables": len(written) - 2, "linked": 2}
+
+
+def test_level_gains_row_i_is_the_gain_of_hop_i(corpus_file, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", str(corpus_file), "--out", str(out),
+                   "--reference-date", REF, "--title-min-sup", "1") == 0
+
+    def rows(name: str) -> list[dict]:
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    hops, gains = rows("hops.csv"), rows("level_gains.csv")
+    levels = {(r["title"], r["organization"]): r["job_level"]
+              for r in rows("job_levels.csv")}
+    assert hops and len(gains) == len(hops)
+    assert list(gains[0]) == ["src_level", "dst_level", "gain", "label", "reason"]
+    for i, (hop, gain) in enumerate(zip(hops, gains)):
+        assert gain["src_level"] == levels.get((hop["src_title"], hop["src_org"]), ""), i
+        assert gain["dst_level"] == levels.get((hop["dst_title"], hop["dst_org"]), ""), i
+    # the levels vary, so a row out of its hop's place shows
+    assert len({g["src_level"] for g in gains}) > 10
 
 
 def _damage_table(rows: list[list[str]], damage: str) -> None:

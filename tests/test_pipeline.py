@@ -205,8 +205,11 @@ def test_streamed_report_equals_json_dumps(tables, powerlaw):
 
 
 def test_report_holds_no_table_in_memory(tmp_path):
+    # The stage's fixed overhead is about 70 KB; 2,000 persons give a report
+    # of several hundred KB, so a table held in memory, which grows with
+    # the report, still breaks the bound.
     corpus = tmp_path / "profiles.jsonl"
-    write_profiles_jsonl(generate(SynthSpec(persons=300, seed=3)).profiles, corpus)
+    write_profiles_jsonl(generate(SynthSpec(persons=2000, seed=3)).profiles, corpus)
     config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
                             reference_date="2020-01", title_min_sup=1)
     pipeline.run_stages(config, ALL_STAGES)
@@ -218,6 +221,38 @@ def test_report_holds_no_table_in_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < (tmp_path / "out" / "report.json").stat().st_size / 4
+
+
+def _graph_edges(path: Path) -> dict[tuple[str, str], str]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {(r["src_key"], r["dst_key"]): r["weight"] for r in csv.DictReader(fh)}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.integers(150, 300),
+       st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True).map(sorted))
+def test_raising_edge_min_sup_keeps_a_subset_of_each_graph(seed, persons, sups):
+    """A higher `edge_min_sup` keeps exactly the edges of a lower one whose
+    weight reaches it, with the same weights, and leaves the hops as
+    they were. Few organizations and title classes give edges of weight
+    up to the highest value drawn."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus = root / "profiles.jsonl"
+        spec = SynthSpec(persons=persons, seed=seed, organizations=10, title_classes=20)
+        write_profiles_jsonl(generate(spec).profiles, corpus)
+        low, high = (root / str(sup) for sup in sups)
+        for sup, out in zip(sups, (low, high)):
+            pipeline.run_stages(PipelineConfig(input=str(corpus), out=str(out),
+                                               reference_date="2020-01",
+                                               edge_min_sup=sup), ALL_STAGES)
+        assert (low / "hops.csv").read_bytes() == (high / "hops.csv").read_bytes()
+        for prefix in ("job", "org"):
+            kept = _graph_edges(low / f"{prefix}_graph.csv")
+            if sups[0] == 1:
+                assert kept, prefix
+            assert _graph_edges(high / f"{prefix}_graph.csv") == {
+                edge: w for edge, w in kept.items() if int(w) >= sups[1]}, prefix
 
 
 @settings(max_examples=30, deadline=None)
