@@ -6,7 +6,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
-from .dates import Month
+from .dates import parse_month
 from .titles import (DictionaryError, TitleDictionaries, TranslationTable,
                      TranslationTableError, identity)
 
@@ -61,14 +61,14 @@ class PipelineConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.reference_date is not None:
             try:
-                Month.parse(self.reference_date)
+                parse_month(self.reference_date)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
-    def reference_month(self) -> Month:
+    def reference_month(self) -> int:
         if self.reference_date is None:
             raise ConfigError("reference date is required for this stage")
-        return Month.parse(self.reference_date)
+        return parse_month(self.reference_date)
 
     def load_dictionaries(self) -> TitleDictionaries:
         try:

@@ -1,64 +1,47 @@
 """Calendar-month dates and exact duration arithmetic.
 
-All profile dates are month-granular, and durations are integer month
-counts. Where a year value is needed (a mean, a gain, a quartile) it is
-an exact `Fraction` of months / 12, so results are reproducible across
-platforms; it is converted to decimal only when written out. A `Month`
-orders, hashes and compares equal as the plain tuple (year, month) does.
+All profile dates are month-granular. A month is the int
+`year * 12 + month - 1`, months since January of year 0: int order is
+calendar order, and a duration in months is a subtraction. Only this
+module converts between that number and its `YYYY-MM` text. Where a
+year value is needed (a mean, a gain, a quartile) it is an exact
+`Fraction` of months / 12, so results are reproducible across
+platforms; it is converted to decimal only when written out.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
-
-class Month(NamedTuple("Month", [("year", int), ("month", int)])):
-    """A calendar month, e.g. 2017-03."""
-
-    __slots__ = ()
-
-    def __new__(cls, year: int, month: int) -> "Month":
-        if not 1 <= month <= 12:
-            raise ValueError(f"month out of range: {month}")
-        if year < 0:
-            raise ValueError(f"negative year: {year}")
-        return super().__new__(cls, year, month)
-
-    @classmethod
-    def parse(cls, text: str) -> "Month":
-        """Parse a 'YYYY-MM' string.
-
-        Valid results are interned by text, because a corpus repeats a few
-        hundred distinct months many times over; invalid text is never
-        cached and raises on every call.
-        """
-        month = _PARSED.get(text) if isinstance(text, str) else None
-        if month is None:
-            m = _MONTH_RE.fullmatch(text)
-            if not m:
-                raise ValueError(f"not a YYYY-MM month: {text!r}")
-            month = _PARSED[text] = cls(int(m.group(1)), int(m.group(2)))
-        return month
-
-    @property
-    def ordinal(self) -> int:
-        """Months since year 0, usable for distance arithmetic."""
-        return self.year * 12 + (self.month - 1)
-
-    def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
+_PARSED: dict[str, int] = {}
 
 
-_PARSED: dict[str, Month] = {}
+def parse_month(text: str) -> int:
+    """The month number of a 'YYYY-MM' string, e.g. 2017-03.
+
+    Valid results are interned by text, because a corpus repeats a few
+    hundred distinct months many times over; invalid text is never
+    cached and raises on every call.
+    """
+    month = _PARSED.get(text) if isinstance(text, str) else None
+    if month is None:
+        m = _MONTH_RE.fullmatch(text)
+        if not m:
+            raise ValueError(f"not a YYYY-MM month: {text!r}")
+        number = int(m.group(2))
+        if not 1 <= number <= 12:
+            raise ValueError(f"month out of range: {number}")
+        month = _PARSED[text] = int(m.group(1)) * 12 + number - 1
+    return month
 
 
-def months_between(start: Month, end: Month) -> int:
-    """Signed month count from start to end (negative if end precedes start)."""
-    return end.ordinal - start.ordinal
+def month_text(month: int) -> str:
+    """The 'YYYY-MM' text of a month number; inverts `parse_month`."""
+    return f"{month // 12:04d}-{month % 12 + 1:02d}"
 
 
 def format_years(value: Fraction | float) -> str:

@@ -5,9 +5,9 @@ spell hops to the spell(s) with the earliest start date at or after its
 end; overlapping spells are treated as side activities and never form
 hops. A move that keeps both the organization and the normalized title
 is a duplicate listing, not a hop. Ongoing spells were closed at the
-reference date on load, and a hop's stay in its source spell is kept in
-integer months. A `Hop` is an immutable NamedTuple, equal to a plain
-tuple of its fields.
+reference date on load, and a hop's stay in its source spell is the
+source's end month number minus its start month number. A `Hop` is an
+immutable NamedTuple, equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
-from .dates import Month, Texts, format_years, months_between
+from .dates import Texts, format_years, month_text, parse_month
 from .ingest import JobSpell, ProfileSet, support_filter
 
 
@@ -74,7 +74,7 @@ def extract_hops(person_id: str, spells: Sequence[JobSpell],
                 src_title=src_title,
                 dst_title=dst_title,
                 kind=kind,
-                stay_months=months_between(src.start_date, src.end_date),
+                stay_months=src.end_date - src.start_date,
             ))
     hops.sort(key=Hop.sort_key)
     return hops
@@ -133,7 +133,7 @@ HOP_CSV_HEADER = [
 def write_hops_csv(corpus: HopCorpus, path) -> None:
     """Hop export, with the stay as a decimal number of years. Each
     distinct month and stay is formatted once."""
-    month, stay = Texts(str), Texts(lambda months: format_years(months / 12))
+    month, stay = Texts(month_text), Texts(lambda months: format_years(months / 12))
     write_csv(path, HOP_CSV_HEADER, ((
         h.person_id, h.src_title, h.src.organization, h.src.industry,
         month[h.src.start_date], month[h.src.end_date],
@@ -153,15 +153,15 @@ def read_hops_csv(path) -> HopCorpus:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             src = JobSpell(row["src_title"], row["src_org"], row["src_industry"],
-                           Month.parse(row["src_start"]), Month.parse(row["src_end"]))
+                           parse_month(row["src_start"]), parse_month(row["src_end"]))
             dst = JobSpell(row["dst_title"], row["dst_org"], row["dst_industry"],
-                           Month.parse(row["dst_start"]), Month.parse(row["dst_end"]))
+                           parse_month(row["dst_start"]), parse_month(row["dst_end"]))
             hops.append(Hop(
                 person_id=row["person_id"],
                 src=src, dst=dst,
                 src_title=row["src_title"], dst_title=row["dst_title"],
                 kind=HopKind(row["kind"]),
-                stay_months=months_between(src.start_date, src.end_date),
+                stay_months=src.end_date - src.start_date,
             ))
     return HopCorpus(
         hops=tuple(hops),

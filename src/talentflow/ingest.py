@@ -8,9 +8,11 @@ Input is JSON Lines, one profile object per line:
                  "start": "YYYY-MM", "end": "YYYY-MM" | null}],
      "skills": ["...", ...]}
 
-An ongoing spell (absent or null end) is closed at the reference date,
-and a spell that starts after the reference date rejects its line, so
-every loaded spell ends at or after its start.
+Dates load as month numbers (`dates.parse_month`), and a rejection
+reason prints them back as `YYYY-MM`. An ongoing spell (absent or null
+end) is closed at the reference date, and a spell that starts after the
+reference date rejects its line, so every loaded spell ends at or after
+its start.
 
 String fields must be JSON strings of valid Unicode text; an absent or
 null field reads as empty, so a required one is then missing. Malformed
@@ -29,7 +31,7 @@ import sys
 from typing import Iterable, Mapping, NamedTuple
 
 from .artifacts import write_csv
-from .dates import Month
+from .dates import month_text, parse_month
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +41,7 @@ MAX_SKILLS = 50
 class EducationRecord(NamedTuple):
     institution: str
     degree: str
-    grad_date: Month | None
+    grad_date: int | None
 
 
 class JobSpell(NamedTuple):
@@ -49,8 +51,8 @@ class JobSpell(NamedTuple):
     raw_title: str
     organization: str
     industry: str
-    start_date: Month
-    end_date: Month
+    start_date: int
+    end_date: int
 
 
 class PersonProfile(NamedTuple):
@@ -59,7 +61,7 @@ class PersonProfile(NamedTuple):
     spells: tuple[JobSpell, ...]
     skills: tuple[str, ...]
 
-    def grad_date(self) -> Month | None:
+    def grad_date(self) -> int | None:
         """Most recent graduation month, or None if no dated education."""
         dates = [e.grad_date for e in self.education if e.grad_date is not None]
         return max(dates) if dates else None
@@ -95,7 +97,7 @@ class ProfileSet:
 
     __slots__ = ("profiles", "reference_date", "org_industry")
 
-    def __init__(self, profiles: tuple[PersonProfile, ...], reference_date: Month,
+    def __init__(self, profiles: tuple[PersonProfile, ...], reference_date: int,
                  org_industry: Mapping[str, str]) -> None:
         self.profiles = profiles
         self.reference_date = reference_date
@@ -160,7 +162,7 @@ def _parse_education(raw) -> tuple[EducationRecord, ...]:
         if not isinstance(entry, dict):
             raise ValueError("education entry is not an object")
         grad = entry.get("grad_date")
-        grad_date = Month.parse(grad) if grad is not None else None
+        grad_date = parse_month(grad) if grad is not None else None
         records.append(EducationRecord(
             institution=_text(entry.get("institution"), "institution"),
             degree=_text(entry.get("degree"), "degree"),
@@ -169,7 +171,7 @@ def _parse_education(raw) -> tuple[EducationRecord, ...]:
     return tuple(records)
 
 
-def _parse_spell(entry, reference_date: Month) -> JobSpell:
+def _parse_spell(entry, reference_date: int) -> JobSpell:
     if not isinstance(entry, dict):
         raise ValueError("spell entry is not an object")
     title = _text(entry.get("title"), "title")
@@ -184,13 +186,14 @@ def _parse_spell(entry, reference_date: Month) -> JobSpell:
     start_raw = entry.get("start")
     if start_raw is None:
         raise ValueError("spell missing start date")
-    start = Month.parse(start_raw)
+    start = parse_month(start_raw)
     if start > reference_date:
-        raise ValueError(f"spell start {start} is after reference date {reference_date}")
+        raise ValueError(f"spell start {month_text(start)} is after reference date "
+                         f"{month_text(reference_date)}")
     end_raw = entry.get("end")
-    end = Month.parse(end_raw) if end_raw is not None else reference_date
+    end = parse_month(end_raw) if end_raw is not None else reference_date
     if end < start:
-        raise ValueError(f"spell end {end} precedes start {start}")
+        raise ValueError(f"spell end {month_text(end)} precedes start {month_text(start)}")
     return JobSpell(title, organization, industry, start, end)
 
 
@@ -203,7 +206,7 @@ def _list_field(obj, name) -> list:
     return value
 
 
-def _parse_profile(obj, reference_date: Month) -> PersonProfile:
+def _parse_profile(obj, reference_date: int) -> PersonProfile:
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     person_id = _text(obj.get("person_id"), "person_id")
@@ -215,7 +218,7 @@ def _parse_profile(obj, reference_date: Month) -> PersonProfile:
     return PersonProfile(person_id, education, spells, skills)
 
 
-def load_profiles(path, reference_date: Month) -> tuple[ProfileSet, LoadReport]:
+def load_profiles(path, reference_date: int) -> tuple[ProfileSet, LoadReport]:
     """Load a JSON Lines profile file.
 
     Returns the profile set plus a report of rejected lines, skill

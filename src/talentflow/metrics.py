@@ -2,9 +2,10 @@
 
 Covers per-person work experience and job age, their per-job averages,
 job levels and level gains with promotion/demotion labels, cohort-grouped
-external-hop fractions, and distribution summaries. Durations are kept as
-integer months; an exact `Fraction` of years is formed only for a mean, a
-gain or a quartile interpolation, and rendered as a decimal on export.
+external-hop fractions, and distribution summaries. Durations are integer
+months, each one subtraction of month numbers (`dates.parse_month`); an
+exact `Fraction` of years is formed only for a mean, a gain or a
+quartile interpolation, and rendered as a decimal on export.
 Each job keeps only its (total months, holders) sums, so a hop's label
 is the sign of an integer and its gain one Fraction of integers.
 No job age is negative, as `load_profiles` rejects future-dated spells.
@@ -19,12 +20,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .artifacts import write_csv
-from .dates import Month, format_years, months_between
+from .dates import format_years
 from .hops import Hop, HopCorpus, HopKind
 from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
 
 
-def work_experience_months(grad: Month | None, spell: JobSpell) -> int | None:
+def work_experience_months(grad: int | None, spell: JobSpell) -> int | None:
     """Months from the graduation month `grad` (the profile's
     `grad_date()`) to the end of the spell.
 
@@ -33,12 +34,12 @@ def work_experience_months(grad: Month | None, spell: JobSpell) -> int | None:
     """
     if grad is None:
         return None
-    return months_between(grad, spell.end_date)
+    return spell.end_date - grad
 
 
-def job_age_months(spell: JobSpell, reference_date: Month) -> int:
+def job_age_months(spell: JobSpell, reference_date: int) -> int:
     """Months from the spell's start to the reference date."""
-    return months_between(spell.start_date, reference_date)
+    return reference_date - spell.start_date
 
 
 def _mean_years_text(total_months: int, n: int) -> str:
@@ -52,16 +53,14 @@ def _mean_years_text(total_months: int, n: int) -> str:
 class JobHolding(NamedTuple):
     """One unique (person, title, organization) occupancy.
 
-    Duplicate spells of the same job are merged: the earliest start and
-    the latest end represent the occupancy.
+    Duplicate spells of the same job are merged: the job age runs from
+    the earliest start, the work experience to the latest end.
     """
 
     person_id: str
     title: str
     organization: str
     industry: str
-    start: Month
-    end: Month
     wk_months: int | None
     age_months: int
 
@@ -128,8 +127,7 @@ class JobIndex:
             for (title, org), spell in sorted(jobs.items()):
                 holdings.append(JobHolding(
                     person_id=profile.person_id, title=title, organization=org,
-                    industry=spell.industry, start=spell.start_date,
-                    end=spell.end_date,
+                    industry=spell.industry,
                     wk_months=work_experience_months(grad, spell),
                     age_months=job_age_months(spell, reference),
                 ))
@@ -282,7 +280,7 @@ class CohortKey(NamedTuple):
 
 
 def cohort_key_for(profile: PersonProfile, hop: Hop,
-                   reference_date: Month) -> CohortKey | None:
+                   reference_date: int) -> CohortKey | None:
     """Cohort of the hopper, measured when leaving the source spell: whole
     years of work experience, whole years of the source job's age at the
     reference date, and skill count in fives (0-4, 5-9, ...).

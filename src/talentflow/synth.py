@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dates import Month
+from .dates import month_text, parse_month
 from .titles.lexer import clean_title
 
 FUNCTIONS = ["manager", "engineer", "director", "analyst", "consultant",
@@ -99,7 +99,7 @@ class SynthSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        Month.parse(self.reference_date)
+        parse_month(self.reference_date)
 
 
 @dataclass
@@ -108,8 +108,8 @@ class _Spell:
     surface: str
     organization: str
     industry: str
-    start: Month
-    end: Month | None
+    start: int  # a month number, as `dates.parse_month` gives
+    end: int | None
 
     def identity(self) -> tuple[str, str]:
         """Ground-truth normalization identity: two spells normalize to the
@@ -123,11 +123,6 @@ class _Spell:
 class SynthResult:
     profiles: list[dict]
     sidecar: dict = field(repr=False)
-
-
-def _month_add(m: Month, months: int) -> Month:
-    total = m.ordinal + months
-    return Month(total // 12, total % 12 + 1)
 
 
 def _base_class(pos: str | None, dom: str, func: str) -> str:
@@ -159,7 +154,7 @@ def _surface_for(rng: random.Random, spec: SynthSpec, pos: str | None,
     return title
 
 
-def _expected_hops(person_id: str, spells: list[_Spell], reference: Month) -> list[dict]:
+def _expected_hops(person_id: str, spells: list[_Spell], reference: int) -> list[dict]:
     """Independent pairwise scan implementing the hop definition.
 
     For every spell, destinations are the other spells with the smallest
@@ -187,7 +182,7 @@ def _expected_hops(person_id: str, spells: list[_Spell], reference: Month) -> li
                 "kind": "internal" if same_org else "external",
                 "src_identity": src.identity(),
                 "dst_identity": dst.identity(),
-                "duration_months": ends[i].ordinal - src.start.ordinal,
+                "duration_months": ends[i] - src.start,
             })
     hops.sort(key=lambda h: (h["src_index"], h["dst_index"]))
     return hops
@@ -203,8 +198,8 @@ def generate(spec: SynthSpec) -> SynthResult:
     """Generate profiles plus the ground-truth sidecar."""
     spec.validate()
     rng = random.Random(spec.seed)
-    reference = Month.parse(spec.reference_date)
-    latest_start = Month(reference.year - 1, 6)
+    reference = parse_month(spec.reference_date)
+    latest_start = (reference // 12 - 1) * 12 + 5  # June of the year before
 
     orgs = [f"Org{i:04d}" for i in range(spec.organizations)]
     org_industry = {org: f"i{rng.randrange(spec.industries):02d}" for org in orgs}
@@ -232,7 +227,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         person_id = f"p{idx:06d}"
         spells: list[_Spell] = []
         count = rng.randint(spec.min_spells, spec.max_spells)
-        start = Month(rng.randint(2004, 2012), rng.randint(1, 12))
+        start = rng.randint(2004, 2012) * 12 + rng.randint(1, 12) - 1
         prev: _Spell | None = None
         prev_parts: tuple[str | None, str, str] | None = None
         prev_info: str | None = None
@@ -242,12 +237,12 @@ def generate(spec: SynthSpec) -> SynthResult:
                     start = prev.start
                 else:
                     prev_end = prev.end if prev.end is not None else reference
-                    start = _month_add(prev_end, rng.randint(0, 6))
+                    start = prev_end + rng.randint(0, 6)
             if start > latest_start:
                 break
             duration = rng.randint(4, 36)
             ongoing = j == count - 1 and rng.random() < spec.ongoing_rate
-            end = None if ongoing else _month_add(start, duration)
+            end = None if ongoing else start + duration
 
             duplicate = prev is not None and rng.random() < spec.duplicate_prob
             if duplicate or (prev is not None and rng.random() < spec.same_org_prob):
@@ -282,13 +277,13 @@ def generate(spec: SynthSpec) -> SynthResult:
 
         education = []
         if rng.random() < spec.education_rate:
-            first_start = spells[0].start if spells else Month(2010, 6)
+            first_start = spells[0].start if spells else 2010 * 12 + 5
             for _ in range(rng.randint(1, 2)):
-                grad_year = first_start.year - rng.randint(-1, 8)
+                grad_year = first_start // 12 - rng.randint(-1, 8)
                 education.append({
                     "institution": rng.choice(INSTITUTIONS),
                     "degree": rng.choice(DEGREES),
-                    "grad_date": str(Month(grad_year, rng.randint(1, 12))),
+                    "grad_date": month_text(grad_year * 12 + rng.randint(1, 12) - 1),
                 })
         skills: list[str] = []
         if rng.random() < spec.skill_rate:
@@ -301,8 +296,8 @@ def generate(spec: SynthSpec) -> SynthResult:
                 "title": s.surface,
                 "organization": s.organization,
                 "industry": s.industry,
-                "start": str(s.start),
-                "end": str(s.end) if s.end is not None else None,
+                "start": month_text(s.start),
+                "end": month_text(s.end) if s.end is not None else None,
             } for s in spells],
             "skills": skills,
         })

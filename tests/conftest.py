@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from talentflow import pipeline
-from talentflow.dates import Month
+from talentflow.dates import parse_month
 from talentflow.ingest import (EducationRecord, JobSpell, PersonProfile,
                                ProfileSet)
 from talentflow.titles import NormalizationMap, TitleDictionaries
@@ -18,8 +18,8 @@ from talentflow.titles import NormalizationMap, TitleDictionaries
 REFERENCE = "2020-01"  # the reference date of every test
 
 
-def m(text: str) -> Month:
-    return Month.parse(text)
+def m(text: str) -> int:
+    return parse_month(text)
 
 
 def spell(title: str, org: str, industry: str, start: str,

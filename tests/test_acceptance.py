@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from talentflow.cli import main as cli_main
-from talentflow.dates import Month
+from talentflow.dates import parse_month
 from talentflow.graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, TalentGraph,
                               build_graph, connected_components, degree_ccdf,
                               fit_power_law, sparsity, weighted_pagerank)
@@ -52,7 +52,7 @@ def labeled_corpus(dicts, tmp_path_factory):
     result = generate(spec)
     path = tmp_path_factory.mktemp("acc") / "profiles.jsonl"
     write_profiles_jsonl(result.profiles, path)
-    ps, report = load_profiles(path, Month.parse(spec.reference_date))
+    ps, report = load_profiles(path, parse_month(spec.reference_date))
     assert not report.rejections
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
@@ -138,7 +138,7 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
     result = generate(spec)
     path = tmp_path / "profiles.jsonl"
     write_profiles_jsonl(result.profiles, path)
-    ps, _ = load_profiles(path, Month.parse(spec.reference_date))
+    ps, _ = load_profiles(path, parse_month(spec.reference_date))
     reference = ps.reference_date
 
     counts = Counter(s.raw_title for s in ps.all_spells())
@@ -160,7 +160,7 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
 
     def spell_key(person_id, s):
         return (person_id, norm(s.raw_title), s.organization,
-                str(s.start_date), str(s.end_date) if s.end_date else "")
+                s.start_date, s.end_date)
 
     oracle = Counter()
     for p in ps:
@@ -198,7 +198,7 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
                 assert got_wk is None
                 continue
             end = s.end_date if s.end_date is not None else reference
-            assert got_wk == end.ordinal - grad.ordinal
+            assert got_wk == end - grad
             scanned += 1
     assert scanned > 5000
 
@@ -227,9 +227,9 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
 
     checked_ti = 0
     for (title, industry), entries in by_ti.items():
-        wk = [(e.ordinal - g.ordinal) / 12.0 for (s, e, g) in entries
-              if g is not None and e.ordinal > g.ordinal]
-        ages = [(reference.ordinal - s.ordinal) / 12.0 for (s, e, g) in entries]
+        wk = [(e - g) / 12.0 for (s, e, g) in entries
+              if g is not None and e > g]
+        ages = [(reference - s) / 12.0 for (s, e, g) in entries]
         got_wk = mean_years(idx.experience_months, (title, industry))
         got_age = mean_years(idx.age_months, (title, industry))
         if wk:
@@ -242,8 +242,8 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
 
     checked_tc = 0
     for (title, org), entries in by_tc.items():
-        wk = [(e.ordinal - g.ordinal) / 12.0 for (s, e, g) in entries
-              if g is not None and e.ordinal > g.ordinal]
+        wk = [(e - g) / 12.0 for (s, e, g) in entries
+              if g is not None and e > g]
         got = job_level(title, org, idx)
         if wk:
             assert rel(float(got), sum(wk) / len(wk))
@@ -264,8 +264,8 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
             continue
         grad = max(grads)
         end = h.src.end_date if h.src.end_date is not None else reference
-        wk_months = end.ordinal - grad.ordinal
-        age_months = reference.ordinal - h.src.start_date.ordinal
+        wk_months = end - grad
+        age_months = reference - h.src.start_date
         if wk_months <= 0 or age_months < 0:
             continue
         key = (wk_months // 12, age_months // 12, (len(p.skills) // 5) * 5)
@@ -283,8 +283,8 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
 
     def oracle_level(title, org):
         entries = by_tc.get((title, org), [])
-        wk = [(e.ordinal - g.ordinal) / 12.0 for (s, e, g) in entries
-              if g is not None and e.ordinal > g.ordinal]
+        wk = [(e - g) / 12.0 for (s, e, g) in entries
+              if g is not None and e > g]
         return (sum(wk) / len(wk), len(wk)) if wk else (None, 0)
 
     labeled = 0
@@ -529,7 +529,7 @@ def test_criterion_09_promotion_bookkeeping(labeled_corpus):
     bins = Counter()
     promos = Counter()
     for r in labeled:
-        b = (r.hop.src.end_date.ordinal - r.hop.src.start_date.ordinal) // 12
+        b = (r.hop.src.end_date - r.hop.src.start_date) // 12
         bins[(b, r.hop.kind.value)] += 1
         if r.label is GainLabel.PROMOTION:
             promos[(b, r.hop.kind.value)] += 1

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from talentflow.dates import Month
 from talentflow.graph import (JOB_MODE, ORG_MODE, STRONG, WEAK,
                               TailTooSmallError, TalentGraph, _hurwitz_zeta,
                               build_centrality_report, build_graph,

@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentflow.dates import Month
+from talentflow.dates import month_text
 from talentflow.hops import (HopKind, build_hop_corpus, classify_hop,
                              extract_hops, read_hops_csv, write_hops_csv)
 from talentflow.titles import build_normalization
@@ -134,14 +134,9 @@ def random_spells(draw):
         ongoing = draw(st.booleans())
         title = draw(st.sampled_from(["t1", "t2", "t3"]))
         org = draw(st.sampled_from(["o1", "o2", "o3"]))
-        start_month = Month(2010 + start // 12, start % 12 + 1)
-        if ongoing:
-            end = None
-        else:
-            total = start_month.ordinal + dur
-            end = Month(total // 12, total % 12 + 1)
-        out.append(spell(title, org, "i1", str(start_month),
-                         str(end) if end else None))
+        start_month = 2010 * 12 + start
+        end = None if ongoing else month_text(start_month + dur)
+        out.append(spell(title, org, "i1", month_text(start_month), end))
     return out
 
 

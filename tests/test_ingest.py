@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talentflow.dates import Month
+from talentflow.dates import month_text
 from talentflow.ingest import (is_core_user, load_profiles, support_filter,
                                write_rejections)
 
 from conftest import m, profile, spell
 
-REF = Month(2020, 1)
+REF = m("2020-01")
 
 
 def _valid_line(person_id="p1", title="engineer", org="Acme", industry="i1",
@@ -133,6 +134,32 @@ def test_schema_violations_reject_record(tmp_path, mutate, reason_part):
     assert reason_part in report.rejections[0].reason
 
 
+def _re_type_error(value) -> str:
+    """What `re.fullmatch` says of a non-string, on this Python version."""
+    try:
+        re.fullmatch("", value)
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError(f"{value!r} matched")
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("start", "2012-13", "month out of range: 13"),
+    ("start", "2020-02", "spell start 2020-02 is after reference date 2020-01"),
+    ("end", "2011-01", "spell end 2011-01 precedes start 2012-01"),
+    ("grad_date", "junk", "not a YYYY-MM month: 'junk'"),
+    ("start", 201203, _re_type_error(201203)),
+])
+def test_date_violations_reject_with_exact_reason(tmp_path, field, value, reason):
+    # each reason is written as is to rejections.csv
+    record = json.loads(_valid_line())
+    entry = record["education"][0] if field == "grad_date" else record["spells"][0]
+    entry[field] = value
+    ps, report = _load(tmp_path, [json.dumps(record)])
+    assert len(ps) == 0
+    assert report.rejections == [(1, reason)]
+
+
 def _load_bytes(tmp_path, data: bytes):
     path = tmp_path / "profiles.jsonl"
     path.write_bytes(data)
@@ -228,7 +255,7 @@ def test_grad_date_is_latest(tmp_path):
     record["education"].append(
         {"institution": "U2", "degree": "MSc", "grad_date": "2013-08"})
     ps, _ = _load(tmp_path, [json.dumps(record)])
-    assert str(ps.profiles[0].grad_date()) == "2013-08"
+    assert month_text(ps.profiles[0].grad_date()) == "2013-08"
 
 
 def test_unreadable_file_is_fatal(tmp_path):
@@ -306,12 +333,12 @@ def test_load_serialize_load_roundtrip(tmp_path):
                 "person_id": p.person_id,
                 "education": [
                     {"institution": e.institution, "degree": e.degree,
-                     "grad_date": str(e.grad_date) if e.grad_date is not None else None}
+                     "grad_date": month_text(e.grad_date) if e.grad_date is not None else None}
                     for e in p.education],
                 "spells": [
                     {"title": s.raw_title, "organization": s.organization,
-                     "industry": s.industry, "start": str(s.start_date),
-                     "end": str(s.end_date) if s.end_date is not None else None}
+                     "industry": s.industry, "start": month_text(s.start_date),
+                     "end": month_text(s.end_date) if s.end_date is not None else None}
                     for s in p.spells],
                 "skills": list(p.skills),
             }, ensure_ascii=False) + "\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from talentflow.dates import Month, format_years
+from talentflow.dates import format_years, month_text, parse_month
 from talentflow.hops import Hop, HopKind, build_hop_corpus
 from talentflow.ingest import ProfileSet, is_core_user, load_profiles
 from talentflow.metrics import (CohortKey, CohortTable, GainLabel, JobHolding, JobIndex,
@@ -24,7 +24,7 @@ from talentflow.titles import TitleDictionaries, build_normalization
 
 from conftest import m, mean_years, profile, profile_set, spell, title_map
 
-REF = Month(2020, 1)
+REF = m("2020-01")
 
 
 def test_work_experience_arithmetic():
@@ -48,7 +48,7 @@ def test_work_experience_unavailable_without_grad():
 
 def test_job_age_arithmetic():
     s = spell("engineer", "Acme", "i1", "2015-01", None)
-    assert job_age_months(s, Month(2017, 1)) == 24
+    assert job_age_months(s, m("2017-01")) == 24
     assert job_age_months(s, REF) == 60
 
 
@@ -105,9 +105,8 @@ def test_index_merges_duplicate_person_job(dicts):
     idx = JobIndex.build(ps, title_map(ps, nmap))
     assert len(idx.holdings) == 1
     h = idx.holdings[0]
-    assert str(h.start) == "2011-01"
-    assert str(h.end) == "2014-01"
-    assert h.wk_months == 48
+    assert h.age_months == 108  # from the earliest start, 2011-01
+    assert h.wk_months == 48  # to the latest end, 2014-01
 
 
 def test_index_merges_a_person_job_split_by_another_job(dicts):
@@ -131,10 +130,9 @@ def test_index_merges_a_person_job_split_by_another_job(dicts):
         ("p1", "finance manager", "OrgA"), ("p1", "sales manager", "OrgA"),
         ("p2", "finance manager", "OrgA"), ("p2", "finance manager", "OrgB")]
     merged = idx.holdings[3]
-    assert (str(merged.start), str(merged.end)) == ("2011-01", "2014-01")
     assert merged.industry == "i2"
-    assert merged.wk_months == 48
-    assert merged.age_months == 108
+    assert merged.wk_months == 48  # to the latest end, 2014-01
+    assert merged.age_months == 108  # from the earliest start, 2011-01
     assert idx.job_months[("finance manager", "OrgB")] == (48, 1)
 
 
@@ -152,11 +150,10 @@ def test_index_uses_core_users_only(dicts):
 
 
 def _hop(dicts, src_title, src_org, dst_title, dst_org, months=12):
-    start = Month(2012, 1)
-    end = Month(2012 + months // 12, 1 + months % 12)
+    end = month_text(m("2012-01") + months)
     p = profile("hopper", [
-        spell(src_title, src_org, "i1", str(start), str(end)),
-        spell(dst_title, dst_org, "i1", str(end), None),
+        spell(src_title, src_org, "i1", "2012-01", end),
+        spell(dst_title, dst_org, "i1", end, None),
     ], grad="2010-01")
     nmap = build_normalization({src_title: 10, dst_title: 10}, dicts)
     ps = profile_set([p])
@@ -172,12 +169,12 @@ def _index_with_levels(dicts, src_level_years, dst_level_years, holders=10):
     for i in range(holders):
         profiles.append(profile(
             f"a{i}", [spell("finance manager", "OrgA", "i1", "2011-01",
-                            str(Month(2010 + src_level_years, 1)))],
+                            f"{2010 + src_level_years}-01")],
             grad="2010-01"))
     for i in range(holders):
         profiles.append(profile(
             f"b{i}", [spell("sales manager", "OrgB", "i1", "2011-01",
-                            str(Month(2010 + dst_level_years, 1)))],
+                            f"{2010 + dst_level_years}-01")],
             grad="2010-01"))
     nmap = build_normalization({"finance manager": 10, "sales manager": 10}, dicts)
     ps = profile_set(profiles)
@@ -365,7 +362,7 @@ def synth_setup(tmp_path_factory):
     result = generate(spec)
     path = tmp_path_factory.mktemp("synth") / "profiles.jsonl"
     write_profiles_jsonl(result.profiles, path)
-    ps, report = load_profiles(path, Month.parse(spec.reference_date))
+    ps, report = load_profiles(path, parse_month(spec.reference_date))
     assert not report.rejections
     counts = {}
     for s in ps.all_spells():
@@ -405,10 +402,10 @@ def test_title_industry_means_match_full_scan_oracle(synth_setup):
         by_ti.setdefault((title, industry), []).append((start, end, grad))
     checked = 0
     for (title, industry), entries in by_ti.items():
-        wk = [(e.ordinal - g.ordinal) / 12.0 for (s, e, g) in entries
-              if g is not None and e.ordinal > g.ordinal]
-        ages = [(ps.reference_date.ordinal - s.ordinal) / 12.0 for (s, e, g) in entries
-                if s.ordinal <= ps.reference_date.ordinal]
+        wk = [(e - g) / 12.0 for (s, e, g) in entries
+              if g is not None and e > g]
+        ages = [(ps.reference_date - s) / 12.0 for (s, e, g) in entries
+                if s <= ps.reference_date]
         got_wk = mean_years(idx.experience_months, (title, industry))
         got_age = mean_years(idx.age_months, (title, industry))
         if wk:
@@ -430,8 +427,8 @@ def test_job_levels_match_full_scan_oracle(synth_setup):
         by_tc.setdefault((title, org), []).append((end, grad))
     checked = 0
     for (title, org), entries in by_tc.items():
-        wk = [(e.ordinal - g.ordinal) / 12.0 for (e, g) in entries
-              if g is not None and e.ordinal > g.ordinal]
+        wk = [(e - g) / 12.0 for (e, g) in entries
+              if g is not None and e > g]
         got = job_level(title, org, idx)
         if wk:
             assert abs(float(got) - sum(wk) / len(wk)) <= 1e-9
@@ -511,8 +508,8 @@ def test_shift_invariance_of_levels_and_gains(dicts):
         out = []
         for p in base_profiles:
             grad = p.education[0].grad_date
-            shifted_grad = Month(grad.year - years, grad.month)
-            out.append(profile(p.person_id, p.spells, grad=str(shifted_grad)))
+            out.append(profile(p.person_id, p.spells,
+                               grad=month_text(grad - 12 * years)))
         return profile_set(out)
 
     ps0, ps2 = shifted(0), shifted(2)
@@ -547,8 +544,6 @@ _holdings = st.lists(st.builds(
     title=st.sampled_from(["t1", "t2", "t3"]),
     organization=st.sampled_from(["o1", "o2"]),
     industry=st.sampled_from(["i1", "i2"]),
-    start=st.just(Month(2010, 1)),
-    end=st.just(Month(2012, 1)),
     wk_months=st.none() | st.integers(-60, 480),
     age_months=st.integers(0, 480),
 ), max_size=40)

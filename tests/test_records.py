@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from talentflow.config import PipelineConfig
-from talentflow.dates import Month
 from talentflow.graph import (CentralityReport, ComponentReport, PageRankResult,
                               PowerLawFit, TalentGraph)
 from talentflow.hops import Hop, HopCorpus
@@ -21,8 +20,8 @@ from talentflow.titles import (NormalizationStats, ParsedTitle, ParseFailure,
 from conftest import profile, profile_set, spell
 
 RECORDS = (
-    Month, EducationRecord, JobSpell, PersonProfile, Rejection, Hop,
-    JobHolding, LevelGainRecord, PromotionTable, DurationBinCell, CohortKey,
+    EducationRecord, JobSpell, PersonProfile, Rejection, Hop, JobHolding,
+    LevelGainRecord, PromotionTable, DurationBinCell, CohortKey,
     QuartileSummary, Distribution, TalentGraph, PageRankResult,
     ComponentReport, PowerLawFit, CentralityReport, ParseFailure,
     NormalizationStats, Token, ParsedTitle, TitleDictionaries,

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from talentflow.dates import Month
+from talentflow.dates import parse_month
 from talentflow.hops import build_hop_corpus
 from talentflow.ingest import load_profiles
 from talentflow.synth import (DOMAINS, FUNCTIONS, POSITIONS, SynthSpec,
@@ -34,6 +35,16 @@ def test_same_seed_gives_identical_bytes(tmp_path):
     assert sa.read_bytes() == sb.read_bytes()
 
 
+def test_output_bytes_are_pinned(tmp_path):
+    # the benchmark's corpora come from this generator: its bytes must not
+    # drift, even where the code that writes them changes
+    path, sidecar, _ = _write(tmp_path, SynthSpec(persons=200, seed=1))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "64aac58c18f78159df8cce37d1a847815c2f38968cb6018847bde686ddfd4f0c")
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == (
+        "359808919048c5ac8625663eb9928140fc53ac46613d5c1c71cd791f3e0652f5")
+
+
 def test_different_seed_differs(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -45,7 +56,7 @@ def test_different_seed_differs(tmp_path):
 def test_output_loads_cleanly(tmp_path):
     spec = SynthSpec(persons=60, seed=5)
     path, _, result = _write(tmp_path, spec)
-    ps, report = load_profiles(path, Month.parse(spec.reference_date))
+    ps, report = load_profiles(path, parse_month(spec.reference_date))
     assert len(ps) == 60
     assert report.rejections == []
     assert report.industry_conflicts == []
@@ -56,7 +67,7 @@ def test_full_overlap_produces_zero_hops(tmp_path, dicts):
                      max_spells=5, ongoing_rate=0.0)
     path, _, result = _write(tmp_path, spec)
     assert result.sidecar["hops"] == []
-    ps, _ = load_profiles(path, Month.parse(spec.reference_date))
+    ps, _ = load_profiles(path, parse_month(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
     corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
@@ -69,7 +80,7 @@ def test_sidecar_variants_map_to_single_canonical(tmp_path, dicts):
     path, sidecar_path, result = _write(tmp_path, spec)
     sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
 
-    ps, _ = load_profiles(path, Month.parse(spec.reference_date))
+    ps, _ = load_profiles(path, parse_month(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
 
@@ -102,7 +113,7 @@ def test_sidecar_hops_match_pipeline_extraction(tmp_path, dicts):
     path, sidecar_path, _ = _write(tmp_path, spec)
     sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
 
-    ps, _ = load_profiles(path, Month.parse(spec.reference_date))
+    ps, _ = load_profiles(path, parse_month(spec.reference_date))
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
     corpus = build_hop_corpus(ps, title_map(ps, nmap), title_min_sup=1)
