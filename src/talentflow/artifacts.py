@@ -32,11 +32,18 @@ def write_text(path, chunks: Iterable[str]) -> None:
     write_atomic(Path(path), write)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table, header first, atomically."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write a CSV table, header first, atomically, and return the number
+    of data rows written. Rows as wide as a non-empty header read back as
+    that many rows: `len(list(csv.DictReader(...)))` of the file."""
+    count = 0
+
     def write(p: Path) -> None:
+        nonlocal count
         with open(p, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            for count, row in enumerate(rows, start=1):
+                writer.writerow(row)
     write_atomic(Path(path), write)
+    return count

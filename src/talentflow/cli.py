@@ -7,7 +7,7 @@ Subcommands:
     extract-hops   extract and classify hops using the normalization map
     metrics        job metrics, promotion tables, cohorts, distributions
     graph          talent-flow graphs, centralities, components, fits
-    report         aggregate all tables into one JSON summary
+    report         one JSON summary: the summary tables, and links to the others
 
 `run` and each stage subcommand go through `pipeline.run_stages`, which
 writes manifest.json. Exit codes: 0 success, 1 configuration error, 2 I/O

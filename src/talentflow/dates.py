@@ -56,8 +56,9 @@ def format_years(value: Fraction | float) -> str:
 
 
 class Texts(dict):
-    """A dict from each key to `fmt(key)`, formatted on its first lookup:
-    a writer formats each distinct month or stay once, not once per row."""
+    """A dict from each key to `fmt(key)`, computed on its first lookup:
+    a writer formats each distinct month or stay once, not once per row,
+    and a run resolves each distinct title once, when first read."""
 
     __slots__ = ("fmt",)
 

@@ -537,22 +537,23 @@ def top_k(report: CentralityReport, measure: str, k: int) -> list[tuple[str, flo
     return heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def write_graph_csv(g: TalentGraph, path) -> None:
-    write_csv(path, ["src_key", "dst_key", "weight"],
-              ((src, dst, g.edges[(src, dst)]) for (src, dst) in sorted(g.edges)))
+def write_graph_csv(g: TalentGraph, path) -> int:
+    return write_csv(path, ["src_key", "dst_key", "weight"],
+                     ((src, dst, g.edges[(src, dst)])
+                      for (src, dst) in sorted(g.edges)))
 
 
-def write_centrality_csv(report: CentralityReport, path) -> None:
-    write_csv(path, ["node_key", "in_degree", "out_degree", "pagerank"],
-              ((v, report.in_degree[v], report.out_degree[v], repr(report.pagerank[v]))
-               for v in report.nodes))
+def write_centrality_csv(report: CentralityReport, path) -> int:
+    return write_csv(path, ["node_key", "in_degree", "out_degree", "pagerank"],
+                     ((v, report.in_degree[v], report.out_degree[v],
+                       repr(report.pagerank[v])) for v in report.nodes))
 
 
-def write_components_csv(reports: Iterable[ComponentReport], path) -> None:
-    write_csv(path, ["component_id", "size", "mode"],
-              ((cid, len(component), report.mode) for report in reports
-               for cid, component in enumerate(report.components)))
+def write_components_csv(reports: Iterable[ComponentReport], path) -> int:
+    return write_csv(path, ["component_id", "size", "mode"],
+                     ((cid, len(component), report.mode) for report in reports
+                      for cid, component in enumerate(report.components)))
 
 
-def write_ccdf_csv(points: Sequence[tuple[int, float]], path) -> None:
-    write_csv(path, ["x", "ccdf"], ((x, repr(p)) for x, p in points))
+def write_ccdf_csv(points: Sequence[tuple[int, float]], path) -> int:
+    return write_csv(path, ["x", "ccdf"], ((x, repr(p)) for x, p in points))

@@ -130,11 +130,11 @@ HOP_CSV_HEADER = [
 ]
 
 
-def write_hops_csv(corpus: HopCorpus, path) -> None:
+def write_hops_csv(corpus: HopCorpus, path) -> int:
     """Hop export, with the stay as a decimal number of years. Each
     distinct month and stay is formatted once."""
     month, stay = Texts(month_text), Texts(lambda months: format_years(months / 12))
-    write_csv(path, HOP_CSV_HEADER, ((
+    return write_csv(path, HOP_CSV_HEADER, ((
         h.person_id, h.src_title, h.src.organization, h.src.industry,
         month[h.src.start_date], month[h.src.end_date],
         h.dst_title, h.dst.organization, h.dst.industry,

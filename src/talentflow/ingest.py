@@ -275,9 +275,9 @@ def load_profiles(path, reference_date: int) -> tuple[ProfileSet, LoadReport]:
     return ProfileSet(tuple(profiles), reference_date, org_industry), report
 
 
-def write_rejections(report: LoadReport, path) -> None:
-    write_csv(path, ["line_no", "reason"],
-              ((r.line_no, r.reason) for r in report.rejections))
+def write_rejections(report: LoadReport, path) -> int:
+    return write_csv(path, ["line_no", "reason"],
+                     ((r.line_no, r.reason) for r in report.rejections))
 
 
 def is_core_user(p: PersonProfile) -> bool:

@@ -436,32 +436,34 @@ def _fmt(value: Fraction | None) -> str:
     return "" if value is None else format_years(value)
 
 
-def write_job_metrics_csv(idx: JobIndex, path) -> None:
+def write_job_metrics_csv(idx: JobIndex, path) -> int:
     """Per (title, industry): holder counts and average experience / age."""
-    write_csv(path, ["title", "industry", "holdings", "positive_experience_holdings",
-                     "avg_work_experience", "avg_job_age"], ((
+    return write_csv(path, ["title", "industry", "holdings",
+                            "positive_experience_holdings",
+                            "avg_work_experience", "avg_job_age"], ((
         *key, idx.age_months[key][1], idx.experience_months[key][1],
         _mean_years_text(*idx.experience_months[key]),
         _mean_years_text(*idx.age_months[key]),
     ) for key in sorted(idx.age_months)))
 
 
-def write_job_levels_csv(idx: JobIndex, path) -> None:
+def write_job_levels_csv(idx: JobIndex, path) -> int:
     texts = idx.job_level_texts
-    write_csv(path, ["title", "organization", "holders", "job_level"],
-              ((*key, idx.job_months[key][1], texts.get(key, ""))
-               for key in sorted(idx.job_months)))
+    return write_csv(path, ["title", "organization", "holders", "job_level"],
+                     ((*key, idx.job_months[key][1], texts.get(key, ""))
+                      for key in sorted(idx.job_months)))
 
 
-def write_cohort_csv(table: CohortTable, path) -> None:
-    write_csv(path, ["wk_exp_bin", "job_age_bin", "skill_bin", "external_hops",
-                     "internal_hops", "external_fraction", "suppressed"],
-              ((*key, external, internal, _fmt(fraction), str(fraction is None).lower())
-               for key, external, internal, fraction in table.rows()))
+def write_cohort_csv(table: CohortTable, path) -> int:
+    return write_csv(path, ["wk_exp_bin", "job_age_bin", "skill_bin", "external_hops",
+                            "internal_hops", "external_fraction", "suppressed"],
+                     ((*key, external, internal, _fmt(fraction),
+                       str(fraction is None).lower())
+                      for key, external, internal, fraction in table.rows()))
 
 
 def write_level_gains_csv(records: Iterable[LevelGainRecord], idx: JobIndex,
-                          path) -> None:
+                          path) -> int:
     """One row per record, in record order, with only the record's own
     columns: the levels of the hop's source and destination jobs (the
     texts that `idx`, the index the records were built from, keeps per
@@ -469,15 +471,15 @@ def write_level_gains_csv(records: Iterable[LevelGainRecord], idx: JobIndex,
     reason. The hop itself is not repeated: records built from
     `corpus.hops` make row i the gain of hop i of `hops.csv`."""
     texts = idx.job_level_texts
-    write_csv(path, ["src_level", "dst_level", "gain", "label", "reason"], ((
+    return write_csv(path, ["src_level", "dst_level", "gain", "label", "reason"], ((
         texts.get((r.hop.src_title, r.hop.src.organization), ""),
         texts.get((r.hop.dst_title, r.hop.dst.organization), ""),
         _fmt(r.gain), r.label.value, r.reason or "",
     ) for r in records))
 
 
-def write_promotion_table_csv(table: PromotionTable, path) -> None:
-    write_csv(path, ["kind", "promotions", "demotions", "total"], (
+def write_promotion_table_csv(table: PromotionTable, path) -> int:
+    return write_csv(path, ["kind", "promotions", "demotions", "total"], (
         ("external", table.external_promotions,
          table.external_demotions, table.external_total),
         ("internal", table.internal_promotions,
@@ -486,15 +488,15 @@ def write_promotion_table_csv(table: PromotionTable, path) -> None:
     ))
 
 
-def write_promotion_vs_duration_csv(cells: Iterable[DurationBinCell], path) -> None:
-    write_csv(path, ["duration_bin", "kind", "promotions", "total",
-                     "p_promotion", "suppressed"],
-              ((c.duration_bin, c.kind.value, c.promotions, c.total,
-                _fmt(c.fraction), str(c.suppressed).lower()) for c in cells))
+def write_promotion_vs_duration_csv(cells: Iterable[DurationBinCell], path) -> int:
+    return write_csv(path, ["duration_bin", "kind", "promotions", "total",
+                            "p_promotion", "suppressed"],
+                     ((c.duration_bin, c.kind.value, c.promotions, c.total,
+                       _fmt(c.fraction), str(c.suppressed).lower()) for c in cells))
 
 
-def write_distribution_csv(dist: Distribution, path) -> None:
-    write_csv(path, ["bin", "count"], dist.histogram)
+def write_distribution_csv(dist: Distribution, path) -> int:
+    return write_csv(path, ["bin", "count"], dist.histogram)
 
 
 def _quartile_row(d: Distribution) -> tuple:
@@ -504,6 +506,6 @@ def _quartile_row(d: Distribution) -> tuple:
     return (d.name, s.count, *map(_fmt, s[1:]))  # minimum to maximum
 
 
-def write_quartiles_csv(distributions: Iterable[Distribution], path) -> None:
-    write_csv(path, ["metric", "count", "min", "q1", "median", "q3", "max"],
-              map(_quartile_row, distributions))
+def write_quartiles_csv(distributions: Iterable[Distribution], path) -> int:
+    return write_csv(path, ["metric", "count", "min", "q1", "median", "q3", "max"],
+                     map(_quartile_row, distributions))

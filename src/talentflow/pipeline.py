@@ -2,20 +2,21 @@
 
 `run_stages` runs the named stages over one `RunState`: `run` names all
 five, a stage subcommand its own. So a one-shot run passes the profiles,
-the title normalization map and the hop corpus between stages in memory,
-and a staged subcommand loads them from the input and the artifacts of
-earlier stages; both write identical artifacts and manifest counts. Every
-artifact is written atomically (temp file, then rename) by
-`talentflow.artifacts`; the JSON layouts of the power-law summaries, the
-manifest and the report are defined here.
+the title normalization map, the hop corpus and the row count of each
+table it wrote between stages in memory, and a staged subcommand loads
+them from the input and the artifacts of earlier stages; both write
+identical artifacts and manifest counts. Every artifact is written
+atomically (temp file, then rename) by `talentflow.artifacts`; the JSON
+layouts of the power-law summaries, the manifest and the report are
+defined here. The report embeds the summary tables and links the tables
+with one row per input line or entity (`LINKED_CSVS`).
 """
 
 from __future__ import annotations
 
 import csv
-import datetime as _dt
 import json
-import platform
+import sys
 import time
 from collections import Counter
 from functools import cached_property
@@ -25,6 +26,7 @@ from typing import Callable, Iterator, Sequence
 from . import __version__
 from .artifacts import write_csv, write_text
 from .config import ConfigError, PipelineConfig
+from .dates import Texts
 from .graph import (JOB_MODE, ORG_MODE, STRONG, WEAK, CentralityReport,
                     ComponentReport, TailTooSmallError, TalentGraph,
                     build_centrality_report, build_graph, connected_components,
@@ -74,9 +76,18 @@ REPORTED_CSVS = (
       for table in ("graph", "centrality", "components",
                     *(f"{m}_ccdf" for m in CENTRALITY_MEASURES))),
 )
-# The per-hop tables: the report vouches for them by their data row count
-# and byte size, and leaves their rows to the CSV files.
-LINKED_CSVS = (HOPS_CSV, LEVEL_GAINS_CSV)
+# A table is embedded in report.json when its size is bounded by the
+# configuration and the value ranges: its rows come from bins, fixed
+# metrics, `top_k` or distinct degree values. It is linked when it has one
+# row per input line, title, job, edge, node or component: the report
+# vouches for it by its data row count and byte size, and leaves its rows
+# to the CSV file.
+LINKED_CSVS = (
+    HOPS_CSV, LEVEL_GAINS_CSV, REJECTIONS_CSV, NORMALIZATION_CSV,
+    PARSE_ERRORS_CSV, JOB_METRICS_CSV, JOB_LEVELS_CSV,
+    *(f"{prefix}_{table}.csv" for _, prefix in GRAPH_PREFIXES
+      for table in ("graph", "centrality", "components", "pagerank_ccdf")),
+)
 
 
 class DependencyError(Exception):
@@ -104,12 +115,15 @@ class RunState:
     A stage that builds the normalization map or the hop corpus stores it
     here, so the later stages of a one-shot run use it as built; in a
     fresh state it is loaded from the artifact that the stage before wrote.
+    Likewise `rows` holds the data row count of each table written in this
+    process, by file name, as its writer returned it.
     """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.out)
         self.out.mkdir(parents=True, exist_ok=True)
+        self.rows: dict[str, int] = {}
 
     @cached_property
     def loaded(self) -> tuple[ProfileSet, LoadReport]:
@@ -123,21 +137,17 @@ class RunState:
         return NormalizationMap.from_csv(path, self.config.load_dictionaries())
 
     @cached_property
-    def translated(self) -> dict[str, str]:
-        """Every raw spell title of the input, translated: the translator
-        runs once per distinct raw title."""
-        translate = self.config.load_translator()
-        profile_set, _ = self.loaded
-        return {raw: translate(raw)
-                for raw in {s.raw_title for s in profile_set.all_spells()}}
+    def translated(self) -> Texts:
+        """Each raw spell title, translated when first read: the
+        translator runs once per distinct raw title."""
+        return Texts(self.config.load_translator())
 
     @cached_property
-    def title_of(self) -> dict[str, str]:
-        """Every raw spell title of the input, normalized: the map looks
-        up each distinct translated title once."""
-        translated, lookup = self.translated, self.norm_map.lookup
-        resolved = {t: lookup(t) for t in set(translated.values())}
-        return {raw: resolved[t] for raw, t in translated.items()}
+    def title_of(self) -> Texts:
+        """Each raw spell title, normalized when first read: the map
+        looks up each distinct translated title once."""
+        translated, resolved = self.translated, Texts(self.norm_map.lookup)
+        return Texts(lambda raw: resolved[translated[raw]])
 
     @cached_property
     def corpus(self) -> HopCorpus:
@@ -145,7 +155,7 @@ class RunState:
 
     def release_data(self) -> None:
         """Free the profiles, the map, the titles and the corpus for work
-        on artifacts."""
+        on artifacts; `rows` stays."""
         for name in ("loaded", "norm_map", "translated", "title_of", "corpus"):
             self.__dict__.pop(name, None)
 
@@ -153,17 +163,17 @@ class RunState:
 def stage_parse_titles(state: RunState) -> dict:
     """Load profiles, build the title normalization map over titles that
     meet the support threshold, and write the map plus error reports."""
-    config, out = state.config, state.out
+    config, out, written = state.config, state.out, state.rows
     dicts, translated = config.load_dictionaries(), state.translated
     profile_set, report = state.loaded
-    write_rejections(report, out / REJECTIONS_CSV)
+    written[REJECTIONS_CSV] = write_rejections(report, out / REJECTIONS_CSV)
 
     counts = Counter(translated[s.raw_title] for s in profile_set.all_spells())
     retained = support_filter(counts, config.title_min_sup)
     norm_map = state.norm_map = build_normalization(
         {t: counts[t] for t in retained}, dicts)
-    norm_map.to_csv(out / NORMALIZATION_CSV)
-    norm_map.write_error_report(out / PARSE_ERRORS_CSV)
+    written[NORMALIZATION_CSV] = norm_map.to_csv(out / NORMALIZATION_CSV)
+    written[PARSE_ERRORS_CSV] = norm_map.write_error_report(out / PARSE_ERRORS_CSV)
 
     stats = norm_map.stats
     return {
@@ -192,7 +202,7 @@ def stage_extract_hops(state: RunState) -> dict:
     profile_set, _ = state.loaded
     corpus = state.corpus = build_hop_corpus(
         profile_set, state.title_of, config.title_min_sup)
-    write_hops_csv(corpus, out / HOPS_CSV)
+    state.rows[HOPS_CSV] = write_hops_csv(corpus, out / HOPS_CSV)
     return {
         "hops": {
             "total": len(corpus),
@@ -204,28 +214,31 @@ def stage_extract_hops(state: RunState) -> dict:
 
 
 def stage_metrics(state: RunState) -> dict:
-    config, out = state.config, state.out
+    config, out, written = state.config, state.out, state.rows
     profile_set, _ = state.loaded
     corpus = state.corpus
 
     idx = JobIndex.build(profile_set, state.title_of)
-    write_job_metrics_csv(idx, out / JOB_METRICS_CSV)
-    write_job_levels_csv(idx, out / JOB_LEVELS_CSV)
+    written[JOB_METRICS_CSV] = write_job_metrics_csv(idx, out / JOB_METRICS_CSV)
+    written[JOB_LEVELS_CSV] = write_job_levels_csv(idx, out / JOB_LEVELS_CSV)
 
     records = build_level_gain_records(corpus, idx, config.job_min_sup)
-    write_level_gains_csv(records, idx, out / LEVEL_GAINS_CSV)
+    written[LEVEL_GAINS_CSV] = write_level_gains_csv(records, idx, out / LEVEL_GAINS_CSV)
     table = promotion_tables(records)
-    write_promotion_table_csv(table, out / PROMOTION_TABLE_CSV)
+    written[PROMOTION_TABLE_CSV] = write_promotion_table_csv(
+        table, out / PROMOTION_TABLE_CSV)
     duration_cells = promotion_vs_duration(records, config.job_min_sup)
-    write_promotion_vs_duration_csv(duration_cells, out / PROMOTION_VS_DURATION_CSV)
+    written[PROMOTION_VS_DURATION_CSV] = write_promotion_vs_duration_csv(
+        duration_cells, out / PROMOTION_VS_DURATION_CSV)
 
     cohorts = build_cohort_table(corpus, profile_set, config.cohort_min_sup)
-    write_cohort_csv(cohorts, out / COHORT_CSV)
+    written[COHORT_CSV] = write_cohort_csv(cohorts, out / COHORT_CSV)
 
     distributions = distribution_summaries(profile_set, idx)
     for dist in distributions:
-        write_distribution_csv(dist, out / f"dist_{dist.name}.csv")
-    write_quartiles_csv(distributions, out / QUARTILES_CSV)
+        name = f"dist_{dist.name}.csv"
+        written[name] = write_distribution_csv(dist, out / name)
+    written[QUARTILES_CSV] = write_quartiles_csv(distributions, out / QUARTILES_CSV)
 
     return {
         "metrics": {
@@ -273,7 +286,7 @@ def graph_summary(g: TalentGraph, report: CentralityReport,
 
 
 def stage_graph(state: RunState) -> dict:
-    config, out, corpus = state.config, state.out, state.corpus
+    config, out, corpus, written = state.config, state.out, state.corpus, state.rows
 
     stats_rows: list[tuple[str, str, str]] = []
     top_rows: list[tuple[str, str, int, str, str]] = []
@@ -287,23 +300,28 @@ def stage_graph(state: RunState) -> dict:
         rows, fits = graph_summary(g, report, components)
         stats_rows += [(prefix, metric, value) for metric, value in rows]
 
-        write_graph_csv(g, out / f"{prefix}_graph.csv")
-        write_centrality_csv(report, out / f"{prefix}_centrality.csv")
-        write_components_csv(components, out / f"{prefix}_components.csv")
+        for table, write, data in (("graph", write_graph_csv, g),
+                                   ("centrality", write_centrality_csv, report),
+                                   ("components", write_components_csv, components)):
+            name = f"{prefix}_{table}.csv"
+            written[name] = write(data, out / name)
         _write_json(out / f"{prefix}_powerlaw.json", fits)
         for measure in CENTRALITY_MEASURES:
             scores = report.measure(measure)
             values = [scores[v] for v in report.nodes]
             positive = [v for v in values if v > 0]
             points = degree_ccdf(positive) if positive else []
-            write_ccdf_csv(points, out / f"{prefix}_{measure}_ccdf.csv")
+            name = f"{prefix}_{measure}_ccdf.csv"
+            written[name] = write_ccdf_csv(points, out / name)
             top_rows += [(prefix, measure, rank, node, repr(float(score)))
                          for rank, (node, score) in enumerate(
                              top_k(report, measure, config.top_k), start=1)]
 
-    write_csv(out / NETWORK_STATS_CSV, ["graph", "metric", "value"], stats_rows)
-    write_csv(out / TOP_NODES_CSV,
-              ["graph", "measure", "rank", "node_key", "score"], top_rows)
+    written[NETWORK_STATS_CSV] = write_csv(
+        out / NETWORK_STATS_CSV, ["graph", "metric", "value"], stats_rows)
+    written[TOP_NODES_CSV] = write_csv(
+        out / TOP_NODES_CSV, ["graph", "measure", "rank", "node_key", "score"],
+        top_rows)
     return {"graphs": graph_counts}
 
 
@@ -340,12 +358,16 @@ def _table_rows(path: Path) -> Iterator[list[str]]:
             yield row
 
 
-def _linked_table(path: Path) -> dict:
+def _linked_table(path: Path, rows: int | None) -> dict:
     """The size of the CSV table at `path` and its number of data rows,
-    which is `len(list(csv.DictReader(...)))` of a well-formed table."""
-    rows = _table_rows(path)
-    next(rows)  # the header
-    return {"bytes": path.stat().st_size, "rows": sum(1 for _ in rows)}
+    which is `len(list(csv.DictReader(...)))` of a well-formed table:
+    `rows` when the table's writer returned it in this process, else
+    counted from the file, with every check of `_table_rows`."""
+    if rows is None:
+        table = _table_rows(path)
+        next(table)  # the header
+        rows = sum(1 for _ in table)
+    return {"bytes": path.stat().st_size, "rows": rows}
 
 
 def _report_table(path: Path) -> Iterator[str]:
@@ -379,31 +401,35 @@ def _report_json(out: Path, files: list[str], linked: dict,
 
 
 def stage_report(state: RunState) -> dict:
-    """Aggregate the pipeline's CSV tables and power-law summaries into one
-    JSON document with plot-ready rows. Other files in the output
-    directory are left out, and artifacts not written are skipped.
+    """Aggregate the pipeline's summary tables and power-law fits into one
+    JSON document with plot-ready rows, and vouch for the per-entity
+    tables by size and row count. Other files in the output directory are
+    left out, and artifacts not written are skipped.
 
     `report.json` holds the bytes of
     `json.dumps({"files": [...], "linked": {...}, "powerlaw": {...},
     "tables": {...}}, ensure_ascii=False, sort_keys=True,
     separators=(",", ":")) + "\\n"`. `files` names every reported CSV
-    that exists. The per-hop tables (`LINKED_CSVS`) are not copied:
-    `linked` maps each one that exists to `{"bytes": <file size>,
-    "rows": <data rows>}`, with the rows counted as
-    `len(list(csv.DictReader(...)))`. Each other table, keyed by its file
+    that exists. The tables with one row per input line or entity
+    (`LINKED_CSVS`) are not copied: `linked` maps each one that exists
+    to `{"bytes": <file size>, "rows": <data rows>}`, with the rows
+    counted as `len(list(csv.DictReader(...)))`. A table written in this
+    process, as in a one-shot run, takes its row count from its writer
+    (`state.rows`) and is not read back; one written by an earlier
+    process is read and checked. Each other table, keyed by its file
     name without `.csv`, is `{"columns": <header>, "rows": [<fields>,
     ...]}` under `tables`: the header in file order, and each data row as
     its list of field strings. The document is written one row at a
     time, so no table is held in memory. Blank lines are skipped; an
     empty file is `{"columns": [], "rows": []}` and a header-only file
     has no rows. A row with more or fewer fields than the header, or a
-    header that repeats a column name, in a linked or an embedded table,
-    raises `ValueError` naming the file and line, and any earlier
-    `report.json` is left as it was."""
+    header that repeats a column name, in a linked table that is read or
+    in an embedded table, raises `ValueError` naming the file and line,
+    and any earlier `report.json` is left as it was."""
     state.release_data()  # the report reads only artifacts
     out = state.out
     files = sorted(name for name in REPORTED_CSVS if (out / name).exists())
-    linked = {name: _linked_table(out / name)
+    linked = {name: _linked_table(out / name, state.rows.get(name))
               for name in LINKED_CSVS if name in files}
     powerlaw = {}
     for _, prefix in GRAPH_PREFIXES:
@@ -426,6 +452,14 @@ STAGES: tuple[tuple[str, Callable[[RunState], dict]], ...] = (
 
 class StageFailure(Exception):
     """A stage error that is not an I/O, missing-artifact or config error."""
+
+
+def _utc_now() -> str:
+    """The current UTC time as ISO 8601 with microseconds,
+    `YYYY-MM-DDTHH:MM:SS.ffffff+00:00`."""
+    seconds, ns = divmod(time.time_ns(), 1_000_000_000)
+    return (time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+            + f".{ns // 1000:06d}+00:00")
 
 
 def _earlier_manifest(path: Path) -> tuple[dict, dict]:
@@ -454,7 +488,7 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> dict:
     counts, stage_seconds = (({}, {}) if names[0] == STAGES[0][0]
                              else _earlier_manifest(state.out / MANIFEST_JSON))
     stages = dict(STAGES)
-    started = _dt.datetime.now(_dt.timezone.utc)
+    started = _utc_now()
     for name in names:
         t0 = time.perf_counter()
         try:
@@ -464,16 +498,16 @@ def run_stages(config: PipelineConfig, names: Sequence[str]) -> dict:
         except Exception as exc:
             raise StageFailure(f"stage {name} failed: {exc}") from exc
         stage_seconds[name] = round(time.perf_counter() - t0, 3)
-    finished = _dt.datetime.now(_dt.timezone.utc)
+    finished = _utc_now()
     manifest = {
         "package": "talentflow",
         "version": __version__,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "config": config.echo(),
         "counts": counts,
         "timings": {
-            "started_at": started.isoformat(),
-            "finished_at": finished.isoformat(),
+            "started_at": started,
+            "finished_at": finished,
             "stage_seconds": stage_seconds,
         },
     }

@@ -78,10 +78,10 @@ class NormalizationMap:
                 return cleaned
         return self.canonical_by_key.get(parsed.key(), cleaned)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ["raw_title", "canonical_title", "primary_function",
-                         "domains", "positions", "secondary_function",
-                         "additional_info"], ((
+    def to_csv(self, path) -> int:
+        return write_csv(path, ["raw_title", "canonical_title", "primary_function",
+                                "domains", "positions", "secondary_function",
+                                "additional_info"], ((
             title, self.canonical_by_key[parsed.key()], parsed.primary_function,
             ";".join(parsed.domain), ";".join(parsed.position),
             parsed.secondary_function or "", parsed.additional_info or "",
@@ -104,10 +104,10 @@ class NormalizationMap:
                 canonical_by_key[parsed.key()] = row["canonical_title"]
         return cls(dicts, canonical_by_key, parsed_by_title)
 
-    def write_error_report(self, path) -> None:
-        write_csv(path, ["raw_title", "count", "error_code"],
-                  ((f.title, f.count, f.error_code)
-                   for f in sorted(self.failures, key=lambda f: f.title)))
+    def write_error_report(self, path) -> int:
+        return write_csv(path, ["raw_title", "count", "error_code"],
+                         ((f.title, f.count, f.error_code)
+                          for f in sorted(self.failures, key=lambda f: f.title)))
 
 
 def build_normalization(titles_with_counts: Mapping[str, int],

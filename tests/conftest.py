@@ -77,13 +77,13 @@ def dicts() -> TitleDictionaries:
 def report_reference(out: Path) -> bytes:
     """The bytes `report.json` must have for the artifacts in `out`: every
     reported table as its `csv.reader` header and non-blank rows through
-    one compact `json.dumps`, except the linked per-hop tables, which are
-    given by size and `csv.DictReader` row count."""
+    one compact `json.dumps`, except the linked tables (`LINKED_CSVS`),
+    which are given by size and `csv.DictReader` row count."""
     files = sorted(name for name in pipeline.REPORTED_CSVS if (out / name).exists())
     linked, tables = {}, {}
     for name in files:
         with open(out / name, encoding="utf-8", newline="") as fh:
-            if name in ("hops.csv", "level_gains.csv"):
+            if name in pipeline.LINKED_CSVS:
                 linked[name] = {"bytes": (out / name).stat().st_size,
                                 "rows": len(list(csv.DictReader(fh)))}
                 continue

@@ -413,26 +413,30 @@ def test_report_aggregates_every_table(corpus_file, tmp_path):
                    "--reference-date", REF) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     written = sorted(p.name for p in out.glob("*.csv") if p.name != "notes.csv")
-    linked = ["hops.csv", "level_gains.csv"]
+    linked = sorted(pipeline.LINKED_CSVS)
+    assert len(linked) == 15
     assert report["files"] == written
     assert set(linked) <= set(written)
     assert sorted(report["linked"]) == linked
     assert set(report["tables"]) == {name.removesuffix(".csv") for name in written
                                      if name not in linked}
     assert set(report["powerlaw"]) == {"job", "org"}
-    with open(out / "hops.csv", newline="", encoding="utf-8") as fh:
-        hop_rows = list(csv.DictReader(fh))
-    assert hop_rows
-    assert report["linked"]["hops.csv"] == {
-        "bytes": (out / "hops.csv").stat().st_size, "rows": len(hop_rows)}
-    job_levels = report["tables"]["job_levels"]
-    with open(out / "job_levels.csv", newline="", encoding="utf-8") as fh:
+    for name in ("hops.csv", "job_levels.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, name
+        assert report["linked"][name] == {
+            "bytes": (out / name).stat().st_size, "rows": len(rows)}, name
+    network_stats = report["tables"]["network_stats"]
+    with open(out / "network_stats.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        assert [dict(zip(job_levels["columns"], row)) for row in job_levels["rows"]] \
-            == list(reader)
-        assert job_levels["columns"] == reader.fieldnames
+        assert [dict(zip(network_stats["columns"], row))
+                for row in network_stats["rows"]] == list(reader)
+        assert network_stats["columns"] == reader.fieldnames
+    assert network_stats["rows"]
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["counts"]["report"] == {"tables": len(written) - 2, "linked": 2}
+    assert manifest["counts"]["report"] == {"tables": 14, "linked": 15}
+    assert len(written) == 29
 
 
 def test_level_gains_row_i_is_the_gain_of_hop_i(corpus_file, tmp_path):
@@ -465,9 +469,10 @@ def _damage_table(rows: list[list[str]], damage: str) -> None:
         rows[0][1] = rows[0][0]
 
 
-# hops.csv and level_gains.csv are linked, job_levels.csv is embedded: the
-# report checks the rows of both kinds.
-@pytest.mark.parametrize("name", ["hops.csv", "level_gains.csv", "job_levels.csv"])
+# hops.csv, level_gains.csv and job_levels.csv are linked, network_stats.csv
+# is embedded: a staged report checks the rows of both kinds.
+@pytest.mark.parametrize("name", ["hops.csv", "level_gains.csv", "job_levels.csv",
+                                  "network_stats.csv"])
 @pytest.mark.parametrize("damage, line", [
     ("short-row", 3), ("long-row", 3), ("repeated-column", 1)])
 def test_report_rejects_malformed_table(corpus_file, tmp_path, capsys, damage, line,

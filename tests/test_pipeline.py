@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import report_reference, spell
 from talentflow import pipeline
-from talentflow.artifacts import write_atomic
+from talentflow.artifacts import write_atomic, write_csv
 from talentflow.config import PipelineConfig
 from talentflow.graph import write_ccdf_csv
 from talentflow.hops import Hop, HopCorpus, HopKind, write_hops_csv
-from talentflow.ingest import LoadReport, Rejection, load_profiles, write_rejections
+from talentflow.ingest import (LoadReport, Rejection, is_core_user, load_profiles,
+                               write_rejections)
 from talentflow.metrics import (GainLabel, JobIndex, LevelGainRecord,
                                 write_level_gains_csv)
 from talentflow.pipeline import RunState, stage_report
@@ -51,6 +52,37 @@ def test_atomic_failure_leaves_no_temp_file_and_keeps_target(tmp_path, old):
 def _one_then_fail(item):
     yield item
     raise OSError("disk full")
+
+
+# Fields that need quoting, or that look like blank lines or quotes, in
+# csv's default dialect; NUL and lone surrogates are left out as in VALUES.
+CHARS = st.characters(exclude_characters="\x00", exclude_categories=("Cs",))
+CSV_FIELDS = st.one_of(
+    st.sampled_from(['"', ",", "\r", "\n", "\r\n", '""', "", " ", "\u00e9t\u00e9",
+                     "\U0001f600"]),
+    st.text(CHARS, max_size=6),
+    st.integers())
+
+
+@st.composite
+def written_tables(draw):
+    """A header of 1-4 distinct column names and rows of its width."""
+    header = draw(st.lists(st.one_of(st.sampled_from(["", "a", '"', "a,b", "\n"]),
+                                     st.text(CHARS, max_size=4)),
+                           min_size=1, max_size=4, unique=True))
+    row = st.lists(CSV_FIELDS, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_tables())
+def test_write_csv_returns_the_rows_a_dict_reader_reads(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        count = write_csv(path, header, iter(rows))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert count == len(list(csv.DictReader(fh))) == len(rows)
 
 
 _HOP = Hop("p1", spell("analyst", "OrgA", "i1", "2010-01", "2012-01"),
@@ -101,6 +133,57 @@ def test_one_shot_run_reads_input_once_and_no_artifact_back(tmp_path, monkeypatc
                         ALL_STAGES)
     assert calls == {"load_profiles": 1}
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_one_shot_report_reads_no_linked_table_and_a_staged_one_reads_all(
+        tmp_path, monkeypatch):
+    corpus = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl(generate(SynthSpec(persons=60, seed=3)).profiles, corpus)
+    config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
+                            reference_date="2020-01", title_min_sup=1)
+    reads = Counter()
+    table_rows = pipeline._table_rows
+
+    def counted(path):
+        reads[Path(path).name] += 1
+        return table_rows(path)
+
+    monkeypatch.setattr(pipeline, "_table_rows", counted)
+    # the one-shot report embeds each summary table and takes the row
+    # counts of the linked ones from their writers
+    pipeline.run_stages(config, ALL_STAGES)
+    assert len(pipeline.LINKED_CSVS) == 15
+    assert reads == Counter(set(pipeline.REPORTED_CSVS) - set(pipeline.LINKED_CSVS))
+    one_shot = (tmp_path / "out" / "report.json").read_bytes()
+
+    # a staged report reads and checks every table, linked ones included
+    reads.clear()
+    pipeline.run_stages(config, ["report"])
+    assert reads == Counter(pipeline.REPORTED_CSVS)
+    assert (tmp_path / "out" / "report.json").read_bytes() == one_shot
+
+
+def test_staged_metrics_looks_up_only_the_titles_it_reads(tmp_path, monkeypatch):
+    corpus = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl(generate(SynthSpec(persons=60, seed=3)).profiles, corpus)
+    config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
+                            reference_date="2020-01", title_min_sup=1)
+    pipeline.run_stages(config, ALL_STAGES[:2])
+    profile_set, _ = load_profiles(corpus, config.reference_month())
+    everyone = {s.raw_title for s in profile_set.all_spells()}
+    core = {s.raw_title for p in profile_set if is_core_user(p) for s in p.spells}
+    assert core < everyone  # so a lookup of every title would show
+    lookups = Counter()
+    lookup = pipeline.NormalizationMap.lookup
+
+    def counted(self, title):
+        lookups[title] += 1
+        return lookup(self, title)
+
+    monkeypatch.setattr(pipeline.NormalizationMap, "lookup", counted)
+    # the job index reads only the core users' titles
+    pipeline.run_stages(config, ["metrics"])
+    assert lookups == Counter(core)
 
 
 def test_one_shot_run_looks_up_each_distinct_title_once(tmp_path, monkeypatch):
@@ -205,9 +288,9 @@ def test_streamed_report_equals_json_dumps(tables, powerlaw):
 
 
 def test_report_holds_no_table_in_memory(tmp_path):
-    # The stage's fixed overhead is about 70 KB; 2,000 persons give a report
-    # of several hundred KB, so a table held in memory, which grows with
-    # the report, still breaks the bound.
+    # The stage's fixed overhead is about 70 KB; 2,000 persons give linked
+    # tables of several hundred KB, which a staged report reads in full, so
+    # a table held in memory, which grows with them, still breaks the bound.
     corpus = tmp_path / "profiles.jsonl"
     write_profiles_jsonl(generate(SynthSpec(persons=2000, seed=3)).profiles, corpus)
     config = PipelineConfig(input=str(corpus), out=str(tmp_path / "out"),
@@ -220,7 +303,9 @@ def test_report_holds_no_table_in_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (tmp_path / "out" / "report.json").stat().st_size / 4
+    linked_bytes = sum((tmp_path / "out" / name).stat().st_size
+                       for name in pipeline.LINKED_CSVS)
+    assert peak < linked_bytes / 4
 
 
 def _graph_edges(path: Path) -> dict[tuple[str, str], str]:
