@@ -9,16 +9,14 @@ talent-flow networks at the job and organization level.
 __version__ = "0.1.0"
 
 from .dates import format_years, month_text, parse_month
-from .ingest import (EducationRecord, JobSpell, LoadReport, PersonProfile,
-                     ProfileSet, Rejection, is_core_user, load_profiles,
-                     support_filter)
+from .ingest import (JobSpell, LoadReport, PersonProfile, ProfileSet,
+                     Rejection, is_core_user, load_profiles, support_filter)
 
 __all__ = [
     "__version__",
     "format_years",
     "month_text",
     "parse_month",
-    "EducationRecord",
     "JobSpell",
     "LoadReport",
     "PersonProfile",

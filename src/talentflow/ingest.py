@@ -14,6 +14,12 @@ end) is closed at the reference date, and a spell that starts after the
 reference date rejects its line, so every loaded spell ends at or after
 its start.
 
+A loaded profile keeps what the analysis reads: the person id, the job
+spells, whether education is listed, the latest dated graduation month
+(None without one) and the number of distinct non-empty trimmed skill
+names, capped at `MAX_SKILLS`. Institutions, degrees and skill names are
+not kept, but are checked like every other field, in line order.
+
 String fields must be JSON strings of valid Unicode text; an absent or
 null field reads as empty, so a required one is then missing. Malformed
 lines (invalid UTF-8, bad or too deeply nested JSON, a bad field) are
@@ -38,12 +44,6 @@ logger = logging.getLogger(__name__)
 MAX_SKILLS = 50
 
 
-class EducationRecord(NamedTuple):
-    institution: str
-    degree: str
-    grad_date: int | None
-
-
 class JobSpell(NamedTuple):
     """One job held by one person. An ongoing spell ends at the reference
     date it was loaded with."""
@@ -56,15 +56,15 @@ class JobSpell(NamedTuple):
 
 
 class PersonProfile(NamedTuple):
-    person_id: str
-    education: tuple[EducationRecord, ...]
-    spells: tuple[JobSpell, ...]
-    skills: tuple[str, ...]
+    """One person's spells, and the facts of education and skills that
+    the metrics read. `grad_date` is the most recent graduation month,
+    None if no education entry is dated."""
 
-    def grad_date(self) -> int | None:
-        """Most recent graduation month, or None if no dated education."""
-        dates = [e.grad_date for e in self.education if e.grad_date is not None]
-        return max(dates) if dates else None
+    person_id: str
+    spells: tuple[JobSpell, ...]
+    has_education: bool
+    grad_date: int | None
+    skill_count: int
 
 
 class Rejection(NamedTuple):
@@ -123,52 +123,27 @@ class ProfileSet:
             yield from p.spells
 
 
-def _text(value, name: str) -> str:
-    """A string field, stripped and interned, so that the many records
-    repeating one organization or title share one string; "" when absent
-    or null. Anything but a string that encodes to UTF-8 (no lone
-    surrogate) raises ValueError."""
+def _checked(value, name: str) -> str:
+    """A string field, stripped; "" when absent or null. Anything but a
+    string that encodes to UTF-8 (no lone surrogate) raises ValueError."""
     if isinstance(value, str):
         if not value.isascii():
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError(f"{name} is not valid Unicode text") from None
-        return sys.intern(value.strip())
+        return value.strip()
     if value is None:
         return ""
     raise ValueError(f"{name} is not a string")
 
 
-def _clean_skills(raw, report: LoadReport, person_id: str) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in raw:
-        if not name or name in seen:
-            continue
-        seen.add(name)
-        out.append(name)
-    if len(out) > MAX_SKILLS:
-        logger.warning("profile %s lists %d skills, truncating to %d",
-                       person_id, len(out), MAX_SKILLS)
-        report.skill_truncations += 1
-        out = out[:MAX_SKILLS]
-    return tuple(out)
-
-
-def _parse_education(raw) -> tuple[EducationRecord, ...]:
-    records = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ValueError("education entry is not an object")
-        grad = entry.get("grad_date")
-        grad_date = parse_month(grad) if grad is not None else None
-        records.append(EducationRecord(
-            institution=_text(entry.get("institution"), "institution"),
-            degree=_text(entry.get("degree"), "degree"),
-            grad_date=grad_date,
-        ))
-    return tuple(records)
+def _text(value, name: str) -> str:
+    """A kept string field, checked and interned, so that the many
+    records repeating one organization or title share one string. Only
+    kept fields are interned: a dropped interned string would leave its
+    slot in the interpreter's table of interned strings."""
+    return sys.intern(_checked(value, name))
 
 
 def _parse_spell(entry, reference_date: int) -> JobSpell:
@@ -212,10 +187,22 @@ def _parse_profile(obj, reference_date: int) -> PersonProfile:
     person_id = _text(obj.get("person_id"), "person_id")
     if not person_id:
         raise ValueError("missing or empty person_id")
-    education = _parse_education(_list_field(obj, "education"))
+    education = _list_field(obj, "education")
+    grad_date = None
+    for entry in education:
+        if not isinstance(entry, dict):
+            raise ValueError("education entry is not an object")
+        month = entry.get("grad_date")
+        if month is not None:
+            month = parse_month(month)
+            grad_date = month if grad_date is None else max(grad_date, month)
+        _checked(entry.get("institution"), "institution")
+        _checked(entry.get("degree"), "degree")
     spells = tuple(_parse_spell(e, reference_date) for e in _list_field(obj, "spells"))
-    skills = tuple(_text(s, "skill") for s in _list_field(obj, "skills"))
-    return PersonProfile(person_id, education, spells, skills)
+    skills = {_checked(s, "skill") for s in _list_field(obj, "skills")}
+    skills.discard("")
+    # the count is capped by the loader, once the line is known to load
+    return PersonProfile(person_id, spells, bool(education), grad_date, len(skills))
 
 
 def load_profiles(path, reference_date: int) -> tuple[ProfileSet, LoadReport]:
@@ -249,7 +236,12 @@ def load_profiles(path, reference_date: int) -> tuple[ProfileSet, LoadReport]:
                 continue
             seen_ids.add(profile.person_id)
 
-            skills = _clean_skills(profile.skills, report, profile.person_id)
+            skill_count = profile.skill_count
+            if skill_count > MAX_SKILLS:
+                logger.warning("profile %s lists %d skills, truncating to %d",
+                               profile.person_id, skill_count, MAX_SKILLS)
+                report.skill_truncations += 1
+                skill_count = MAX_SKILLS
 
             # First-seen industry wins; conflicting spells are rewritten so the
             # org -> industry map stays consistent with every stored spell.
@@ -269,7 +261,8 @@ def load_profiles(path, reference_date: int) -> tuple[ProfileSet, LoadReport]:
                 else:
                     fixed_spells.append(spell)
 
-            profiles.append(profile._replace(spells=tuple(fixed_spells), skills=skills))
+            profiles.append(profile._replace(spells=tuple(fixed_spells),
+                                            skill_count=skill_count))
             report.loaded += 1
 
     return ProfileSet(tuple(profiles), reference_date, org_industry), report
@@ -282,7 +275,7 @@ def write_rejections(report: LoadReport, path) -> int:
 
 def is_core_user(p: PersonProfile) -> bool:
     """True iff the profile has education, job spells and skills."""
-    return bool(p.education) and bool(p.spells) and bool(p.skills)
+    return p.has_education and bool(p.spells) and p.skill_count > 0
 
 
 def support_filter(counts: Mapping[str, int], min_sup: int) -> set[str]:

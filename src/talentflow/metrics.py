@@ -27,7 +27,7 @@ from .ingest import JobSpell, PersonProfile, ProfileSet, is_core_user
 
 def work_experience_months(grad: int | None, spell: JobSpell) -> int | None:
     """Months from the graduation month `grad` (the profile's
-    `grad_date()`) to the end of the spell.
+    `grad_date` field) to the end of the spell.
 
     None when the profile has no dated education. Non-positive results
     are returned as-is; aggregates exclude them.
@@ -113,7 +113,7 @@ class JobIndex:
         for profile in sorted(profile_set, key=lambda p: p.person_id):
             if not is_core_user(profile):
                 continue
-            grad = profile.grad_date()
+            grad = profile.grad_date
             # (title, org) -> the person's occupancy of that job as one spell
             jobs: dict[tuple[str, str], JobSpell] = {}
             for spell in profile.spells:
@@ -287,13 +287,13 @@ def cohort_key_for(profile: PersonProfile, hop: Hop,
 
     None when the hopper has no dated education or non-positive work
     experience at that moment."""
-    wk = work_experience_months(profile.grad_date(), hop.src)
+    wk = work_experience_months(profile.grad_date, hop.src)
     if wk is None or wk <= 0:
         return None
     return CohortKey(
         wk_exp_bin=wk // 12,
         job_age_bin=job_age_months(hop.src, reference_date) // 12,
-        skill_bin=len(profile.skills) // 5 * 5,
+        skill_bin=profile.skill_count // 5 * 5,
     )
 
 
@@ -411,7 +411,7 @@ DISTRIBUTION_NAMES = ("skill_count", "work_experience", "job_age", "job_level")
 def distribution_summaries(profile_set: ProfileSet, idx: JobIndex) -> list[Distribution]:
     """Distributions of skill count, work experience, job age and job
     level, computed over core users, in `DISTRIBUTION_NAMES` order."""
-    skills = [len(p.skills) for p in profile_set if is_core_user(p)]
+    skills = [p.skill_count for p in profile_set if is_core_user(p)]
     wk = [v for v in map(_positive_wk, idx.holdings) if v]
     ages = [h.age_months for h in idx.holdings]
     levels = [Fraction(total, 12 * n) for total, n in idx.job_months.values() if n]

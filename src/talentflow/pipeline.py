@@ -153,12 +153,6 @@ class RunState:
     def corpus(self) -> HopCorpus:
         return read_hops_csv(_require(self.out / HOPS_CSV, "talentflow extract-hops"))
 
-    def release_data(self) -> None:
-        """Free the profiles, the map, the titles and the corpus for work
-        on artifacts; `rows` stays."""
-        for name in ("loaded", "norm_map", "translated", "title_of", "corpus"):
-            self.__dict__.pop(name, None)
-
 
 def stage_parse_titles(state: RunState) -> dict:
     """Load profiles, build the title normalization map over titles that
@@ -426,7 +420,6 @@ def stage_report(state: RunState) -> dict:
     header that repeats a column name, in a linked table that is read or
     in an embedded table, raises `ValueError` naming the file and line,
     and any earlier `report.json` is left as it was."""
-    state.release_data()  # the report reads only artifacts
     out = state.out
     files = sorted(name for name in REPORTED_CSVS if (out / name).exists())
     linked = {name: _linked_table(out / name, state.rows.get(name))

@@ -10,8 +10,7 @@ import pytest
 
 from talentflow import pipeline
 from talentflow.dates import parse_month
-from talentflow.ingest import (EducationRecord, JobSpell, PersonProfile,
-                               ProfileSet)
+from talentflow.ingest import JobSpell, PersonProfile, ProfileSet
 from talentflow.titles import NormalizationMap, TitleDictionaries
 
 
@@ -32,10 +31,11 @@ def spell(title: str, org: str, industry: str, start: str,
 
 def profile(person_id: str, spells=(), grad: str | None = None,
             skills=("python",)) -> PersonProfile:
-    education = ()
-    if grad is not None:
-        education = (EducationRecord("University A", "BSc", m(grad)),)
-    return PersonProfile(person_id, education, tuple(spells), tuple(skills))
+    """A profile as `load_profiles` builds it from one education entry
+    graduating at `grad` (none when `grad` is None) and the skill names
+    `skills`."""
+    return PersonProfile(person_id, tuple(spells), grad is not None,
+                         m(grad) if grad is not None else None, len(set(skills)))
 
 
 def profile_set(profiles) -> ProfileSet:

@@ -140,6 +140,14 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
     write_profiles_jsonl(result.profiles, path)
     ps, _ = load_profiles(path, parse_month(spec.reference_date))
     reference = ps.reference_date
+    # education and skills as the input lines list them (synth skill
+    # names are distinct and fewer than the cap)
+    lines = {r["person_id"]: r for r in result.profiles}
+
+    def grad_of(person_id):
+        grads = [parse_month(e["grad_date"]) for e in lines[person_id]["education"]
+                 if e["grad_date"] is not None]
+        return max(grads) if grads else None
 
     counts = Counter(s.raw_title for s in ps.all_spells())
     nmap = build_normalization(counts, dicts)
@@ -190,10 +198,9 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
     rel = lambda a, b: abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
     scanned = 0
     for p in ps:
-        grads = [e.grad_date for e in p.education if e.grad_date is not None]
-        grad = max(grads) if grads else None
+        grad = grad_of(p.person_id)
         for s in p.spells:
-            got_wk = work_experience_months(p.grad_date(), s)
+            got_wk = work_experience_months(p.grad_date, s)
             if grad is None:
                 assert got_wk is None
                 continue
@@ -205,10 +212,10 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
     # --- per-(title, industry) and per-(title, org) means ----------------
     merged = {}
     for p in sorted(ps, key=lambda p: p.person_id):
-        if not (p.education and p.spells and p.skills):
+        line = lines[p.person_id]
+        if not (line["education"] and p.spells and line["skills"]):
             continue
-        grads = [e.grad_date for e in p.education if e.grad_date is not None]
-        grad = max(grads) if grads else None
+        grad = grad_of(p.person_id)
         for s in p.spells:
             key = (p.person_id, norm(s.raw_title), s.organization)
             end = s.end_date if s.end_date is not None else reference
@@ -255,20 +262,18 @@ def test_criterion_04_metric_oracles(dicts, tmp_path):
 
     # --- cohort fractions vs independent integer-month binning -----------
     table = build_cohort_table(corpus, ps, min_sup=1)
-    by_id = ps.by_id()
     cells = {}
     for h in corpus.hops:
-        p = by_id[h.person_id]
-        grads = [e.grad_date for e in p.education if e.grad_date is not None]
-        if not grads:
+        grad = grad_of(h.person_id)
+        if grad is None:
             continue
-        grad = max(grads)
         end = h.src.end_date if h.src.end_date is not None else reference
         wk_months = end - grad
         age_months = reference - h.src.start_date
         if wk_months <= 0 or age_months < 0:
             continue
-        key = (wk_months // 12, age_months // 12, (len(p.skills) // 5) * 5)
+        key = (wk_months // 12, age_months // 12,
+               (len(lines[h.person_id]["skills"]) // 5) * 5)
         cell = cells.setdefault(key, [0, 0])
         cell[0 if h.kind is HopKind.EXTERNAL else 1] += 1
     assert len(cells) == len(table.cells)

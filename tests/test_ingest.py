@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talentflow.dates import month_text
-from talentflow.ingest import (is_core_user, load_profiles, support_filter,
-                               write_rejections)
+from talentflow.ingest import (MAX_SKILLS, is_core_user, load_profiles,
+                               support_filter, write_rejections)
 
 from conftest import m, profile, spell
 
@@ -160,6 +160,26 @@ def test_date_violations_reject_with_exact_reason(tmp_path, field, value, reason
     assert report.rejections == [(1, reason)]
 
 
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda r: r["education"][0].__setitem__("institution", 5),
+     "institution is not a string"),
+    (lambda r: r["education"][0].__setitem__("degree", "\ud800"),
+     "degree is not valid Unicode text"),
+    (lambda r: r.__setitem__("skills", ["python", 3]), "skill is not a string"),
+    (lambda r: r.__setitem__("education", ["x"]), "education entry is not an object"),
+    (lambda r: r["education"][0].update(grad_date="junk", institution=5),
+     "not a YYYY-MM month: 'junk'"),
+], ids=["institution", "degree", "skill", "education-entry", "date-before-institution"])
+def test_unkept_field_violations_reject_with_exact_reason(tmp_path, mutate, reason):
+    # institutions, degrees and skill names are not kept, but are checked
+    # as before: same reasons, and an entry's date before its institution
+    record = json.loads(_valid_line())
+    mutate(record)
+    ps, report = _load(tmp_path, [json.dumps(record)])
+    assert len(ps) == 0
+    assert report.rejections == [(1, reason)]
+
+
 def _load_bytes(tmp_path, data: bytes):
     path = tmp_path / "profiles.jsonl"
     path.write_bytes(data)
@@ -222,40 +242,88 @@ def test_load_never_raises_and_accounts_for_every_line(lines):
     assert report.loaded + len(report.rejections) == len(non_blank)
     assert {r.line_no for r in report.rejections} <= set(non_blank)
     for p in ps:
-        texts = [p.person_id, *p.skills]
-        texts += [t for e in p.education for t in (e.institution, e.degree)]
+        texts = [p.person_id]
         texts += [t for s in p.spells for t in (s.raw_title, s.organization, s.industry)]
         for text in texts:
             assert isinstance(text, str)
             text.encode("utf-8")
+        assert isinstance(p.has_education, bool)
+        assert p.grad_date is None or isinstance(p.grad_date, int)
+        assert 0 <= p.skill_count <= MAX_SKILLS
         for s in p.spells:
             assert s.start_date <= REF and s.start_date <= s.end_date
 
 
-def test_skills_trimmed_deduped_truncated(tmp_path):
-    record = json.loads(_valid_line())
-    record["skills"] = [" python ", "python", "", "sql"] + [f"s{i}" for i in range(70)]
-    ps, report = _load(tmp_path, [json.dumps(record)])
-    skills = ps.profiles[0].skills
-    assert skills[:2] == ("python", "sql")
-    assert len(skills) == 50
+def test_skills_trimmed_deduped_truncated(tmp_path, caplog):
+    few = json.loads(_valid_line("few"))
+    few["skills"] = [" python ", "python", "", "  ", "sql"]
+    many = json.loads(_valid_line("many"))
+    many["skills"] = few["skills"] + [f"s{i}" for i in range(70)]
+    with caplog.at_level("WARNING"):
+        ps, report = _load(tmp_path, [json.dumps(few), json.dumps(many)])
+    assert [p.skill_count for p in ps] == [2, 50]
     assert report.skill_truncations == 1
+    assert "profile many lists 72 skills, truncating to 50" in caplog.text
 
 
 def test_null_grad_date_loadable(tmp_path):
     record = json.loads(_valid_line())
     record["education"][0]["grad_date"] = None
     ps, _ = _load(tmp_path, [json.dumps(record)])
-    assert ps.profiles[0].grad_date() is None
+    assert ps.profiles[0].grad_date is None
+    assert ps.profiles[0].has_education
     assert is_core_user(ps.profiles[0])
 
 
 def test_grad_date_is_latest(tmp_path):
     record = json.loads(_valid_line())
-    record["education"].append(
-        {"institution": "U2", "degree": "MSc", "grad_date": "2013-08"})
+    record["education"][:0] = [
+        {"institution": "U2", "degree": "MSc", "grad_date": "2013-08"},
+        {"institution": "U3", "degree": "PhD", "grad_date": None}]
     ps, _ = _load(tmp_path, [json.dumps(record)])
-    assert month_text(ps.profiles[0].grad_date()) == "2013-08"
+    assert month_text(ps.profiles[0].grad_date) == "2013-08"
+
+
+_MONTHS = st.integers(1990 * 12, 2019 * 12 + 11).map(month_text)
+# a dated, null or missing graduation month
+_EDUCATION = st.fixed_dictionaries(
+    {"institution": st.just("U"), "degree": st.just("BSc")},
+    optional={"grad_date": st.none() | _MONTHS})
+
+
+def _skill_names(distinct: int, copies: list[int], blanks: int) -> list[str]:
+    """`distinct` names, some with surrounding whitespace, then a copy
+    of each name listed in `copies` and `blanks` pairs of blank names."""
+    names = [(" s{} ", "s{}", "s{}\t")[i % 3].format(i) for i in range(distinct)]
+    return names + [f"s{i}" for i in copies if i < distinct] + ["", " "] * blanks
+
+
+# 0-70 skill names in any order, more than 50 distinct ones now and then
+_SKILLS = st.builds(_skill_names, st.integers(0, 57),
+                    st.lists(st.integers(0, 56), max_size=9),
+                    st.integers(0, 2)).flatmap(st.permutations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(_EDUCATION, max_size=4), _SKILLS), max_size=5))
+def test_loaded_education_and_skill_facts_match_the_line(people):
+    lines = []
+    for i, (education, skills) in enumerate(people):
+        record = json.loads(_valid_line(f"p{i}"))
+        record.update(education=education, skills=skills)
+        lines.append(json.dumps(record))
+    with tempfile.TemporaryDirectory() as tmp:
+        ps, report = _load(Path(tmp), lines)
+    assert report.rejections == []
+    capped = 0
+    for p, (education, skills) in zip(ps, people, strict=True):
+        dated = [m(e["grad_date"]) for e in education if e.get("grad_date") is not None]
+        distinct = len({s.strip() for s in skills} - {""})
+        assert p.has_education == bool(education)
+        assert p.grad_date == (max(dated) if dated else None)
+        assert p.skill_count == min(distinct, 50)
+        capped += distinct > 50
+    assert report.skill_truncations == capped
 
 
 def test_unreadable_file_is_fatal(tmp_path):
@@ -329,18 +397,16 @@ def test_load_serialize_load_roundtrip(tmp_path):
     out = tmp_path / "round.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
         for p in ps1:
+            grad = month_text(p.grad_date) if p.grad_date is not None else None
             fh.write(json.dumps({
                 "person_id": p.person_id,
-                "education": [
-                    {"institution": e.institution, "degree": e.degree,
-                     "grad_date": month_text(e.grad_date) if e.grad_date is not None else None}
-                    for e in p.education],
+                "education": [{"grad_date": grad}] if p.has_education else [],
                 "spells": [
                     {"title": s.raw_title, "organization": s.organization,
                      "industry": s.industry, "start": month_text(s.start_date),
                      "end": month_text(s.end_date) if s.end_date is not None else None}
                     for s in p.spells],
-                "skills": list(p.skills),
+                "skills": [f"skill {i}" for i in range(p.skill_count)],
             }, ensure_ascii=False) + "\n")
     ps2, report = load_profiles(out, REF)
     assert report.rejections == []

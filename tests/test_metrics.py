@@ -30,20 +30,20 @@ REF = m("2020-01")
 def test_work_experience_arithmetic():
     p = profile("p", [], grad="2010-06")
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience_months(p.grad_date(), s) == 36
+    assert work_experience_months(p.grad_date, s) == 36
 
     same_month = spell("engineer", "Acme", "i1", "2015-01", "2015-01")
     p2 = profile("p", [], grad="2015-01")
-    assert work_experience_months(p2.grad_date(), same_month) == 0
+    assert work_experience_months(p2.grad_date, same_month) == 0
 
     p3 = profile("p", [], grad="2016-01")
-    assert work_experience_months(p3.grad_date(), same_month) == -12
+    assert work_experience_months(p3.grad_date, same_month) == -12
 
 
 def test_work_experience_unavailable_without_grad():
     p = profile("p", [], grad=None)
     s = spell("engineer", "Acme", "i1", "2011-01", "2013-06")
-    assert work_experience_months(p.grad_date(), s) is None
+    assert work_experience_months(p.grad_date, s) is None
 
 
 def test_job_age_arithmetic():
@@ -378,10 +378,9 @@ def _oracle_holdings(ps, nmap):
     """Float full-scan recomputation, structured independently of JobIndex."""
     rows = {}
     for p in ps:
-        if not (p.education and p.spells and p.skills):
+        if not (p.has_education and p.spells and p.skill_count):
             continue
-        grads = [e.grad_date for e in p.education if e.grad_date is not None]
-        grad = max(grads) if grads else None
+        grad = p.grad_date
         for s in p.spells:
             title = nmap.lookup(s.raw_title)
             key = (p.person_id, title, s.organization)
@@ -507,7 +506,7 @@ def test_shift_invariance_of_levels_and_gains(dicts):
     def shifted(years):
         out = []
         for p in base_profiles:
-            grad = p.education[0].grad_date
+            grad = p.grad_date
             out.append(profile(p.person_id, p.spells,
                                grad=month_text(grad - 12 * years)))
         return profile_set(out)

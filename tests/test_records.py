@@ -9,8 +9,7 @@ from talentflow.config import PipelineConfig
 from talentflow.graph import (CentralityReport, ComponentReport, PageRankResult,
                               PowerLawFit, TalentGraph)
 from talentflow.hops import Hop, HopCorpus
-from talentflow.ingest import (EducationRecord, JobSpell, LoadReport,
-                               PersonProfile, Rejection)
+from talentflow.ingest import JobSpell, LoadReport, PersonProfile, Rejection
 from talentflow.metrics import (CohortKey, Distribution, DurationBinCell,
                                 JobHolding, LevelGainRecord, PromotionTable,
                                 QuartileSummary)
@@ -20,11 +19,11 @@ from talentflow.titles import (NormalizationStats, ParsedTitle, ParseFailure,
 from conftest import profile, profile_set, spell
 
 RECORDS = (
-    EducationRecord, JobSpell, PersonProfile, Rejection, Hop, JobHolding,
-    LevelGainRecord, PromotionTable, DurationBinCell, CohortKey,
-    QuartileSummary, Distribution, TalentGraph, PageRankResult,
-    ComponentReport, PowerLawFit, CentralityReport, ParseFailure,
-    NormalizationStats, Token, ParsedTitle, TitleDictionaries,
+    JobSpell, PersonProfile, Rejection, Hop, JobHolding, LevelGainRecord,
+    PromotionTable, DurationBinCell, CohortKey, QuartileSummary,
+    Distribution, TalentGraph, PageRankResult, ComponentReport,
+    PowerLawFit, CentralityReport, ParseFailure, NormalizationStats, Token,
+    ParsedTitle, TitleDictionaries,
 )
 
 
