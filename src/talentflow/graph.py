@@ -1,17 +1,18 @@
 """Weighted directed talent-flow graphs and their analysis.
 
-Nodes are either jobs (normalized title within an industry, keyed as
-"title|industry") or organizations; edge weights count hops. Includes
+Nodes are either jobs (normalized title within an industry, keyed by
+`job_node_key`) or organizations; edge weights count hops. Includes
 unweighted degree centralities, weighted PageRank with uniform
 redistribution of dead-end mass, strongly/weakly connected components,
 adjacency sparsity, CCDFs and a discrete power-law exponent fit.
 Records are immutable NamedTuples, equal to plain tuples of their fields.
 
-Degrees, PageRank and components run over integer node ids (a node's id
-is its position in `nodes`) and lists, not over string-keyed dicts, and
-map back to node keys only in their results. Every float sum in PageRank
-is a left-to-right fold in node order, so scores are bit-identical across
-runs and Python versions.
+Analysis runs over integer node ids (a node's id is its rank in the
+sorted `nodes`) and lists: each per-node measure is a list in node order
+until `top_k` and the writers pair it with node keys. One iterative
+traversal finds both strong (Kosaraju) and weak components. Every float
+sum in PageRank is a left-to-right fold in node order, so scores are
+bit-identical across runs and Python versions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ WEAK = "weak"
 
 
 def job_node_key(title: str, industry: str) -> str:
-    return f"{title}|{industry}"
+    """`title|industry` with `\\` escaped as `\\\\` and `|` as `\\|` in each
+    part, so that distinct jobs never share a key."""
+    return (title.replace("\\", "\\\\").replace("|", "\\|") + "|"
+            + industry.replace("\\", "\\\\").replace("|", "\\|"))
 
 
 class TalentGraph(NamedTuple("TalentGraph", [
@@ -78,35 +82,33 @@ def build_graph(corpus: HopCorpus, mode: str, edge_min_sup: int = 2) -> TalentGr
         raise ValueError(f"unknown graph mode {mode!r}")
     if edge_min_sup < 1:
         raise ValueError(f"edge_min_sup must be >= 1, got {edge_min_sup}")
-    weights: Counter[tuple[str, str]] = Counter()
-    for hop in corpus.hops:
-        if mode == JOB_MODE:
-            src = job_node_key(hop.src_title, hop.src.industry)
-            dst = job_node_key(hop.dst_title, hop.dst.industry)
-        else:
-            src = hop.src.organization
-            dst = hop.dst.organization
-        if src == dst:
-            continue
-        weights[(src, dst)] += 1
-    edges = {pair: w for pair, w in weights.items() if w >= edge_min_sup}
+    if mode == JOB_MODE:
+        ends = (((h.src_title, h.src.industry), (h.dst_title, h.dst.industry))
+                for h in corpus.hops)
+    else:
+        ends = ((h.src.organization, h.dst.organization) for h in corpus.hops)
+    edges = {(src, dst): w for (src, dst), w in Counter(ends).items()
+             if w >= edge_min_sup and src != dst}
+    if mode == JOB_MODE:  # one key per distinct job
+        key = {job: job_node_key(*job) for job in {job for pair in edges for job in pair}}
+        edges = {(key[src], key[dst]): w for (src, dst), w in edges.items()}
     nodes = sorted({v for pair in edges for v in pair})
     return TalentGraph(mode=mode, nodes=tuple(nodes), edges=edges)
 
 
-def degree_centrality(g: TalentGraph) -> dict[str, tuple[int, int]]:
-    """Unweighted (in_degree, out_degree) per node: distinct neighbor
-    counts, ignoring edge weights."""
+def degree_centrality(g: TalentGraph) -> tuple[list[int], list[int]]:
+    """Unweighted (in_degree, out_degree) lists in node order: distinct
+    neighbor counts, ignoring edge weights."""
     in_deg = [0] * len(g.nodes)
     out_deg = [0] * len(g.nodes)
     for u, v, _ in g.links:
         out_deg[u] += 1
         in_deg[v] += 1
-    return dict(zip(g.nodes, zip(in_deg, out_deg)))
+    return in_deg, out_deg
 
 
 class PageRankResult(NamedTuple):
-    scores: dict[str, float]
+    scores: list[float]  # in node order
     converged: bool
     iterations: int
 
@@ -122,7 +124,7 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
     are normalized to sum to one. Every sum is a left-to-right fold in
     node order, a loop or `reduce(add, ..., 0.0)` (`sum()` of floats
     compensates from Python 3.12 on), so results are bit-identical across
-    runs and Python versions.
+    runs and Python versions. Scores are a list in node order.
     """
     if not g.nodes:
         raise ValueError("pagerank needs a non-empty graph")
@@ -160,85 +162,52 @@ def weighted_pagerank(g: TalentGraph, damping: float = 0.85,
             break
 
     total = reduce(add, rank, 0.0)
-    scores = {v: r / total for v, r in zip(g.nodes, rank)}
-    return PageRankResult(scores=scores, converged=converged, iterations=iterations)
+    return PageRankResult(scores=[r / total for r in rank], converged=converged,
+                          iterations=iterations)
 
 
-def _tarjan_scc(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strong components of the digraph on ids 0..len(adj)-1 whose
-    successors of u are adj[u]. Iterative Tarjan to keep deep graphs off
-    the Python call stack."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] >= 0:
+def _finish_order(adj: Sequence[Sequence[int]]) -> list[int]:
+    """The ids 0..len(adj)-1 in the order a depth-first search over the
+    successor lists `adj`, started from each unvisited id in id order,
+    finishes them. Iterative, to keep deep graphs off the Python call
+    stack."""
+    visited = [False] * len(adj)
+    order: list[int] = []
+    for root in range(len(adj)):
+        if visited[root]:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, child_idx = work[-1]
-            if child_idx == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            children = adj[v]
-            for ci in range(child_idx, len(children)):
-                w = children[ci]
-                if index[w] < 0:
-                    work[-1] = (v, ci + 1)
-                    work.append((w, 0))
-                    descended = True
+        visited[root] = True
+        path = [(root, iter(adj[root]))]
+        while path:
+            v, successors = path[-1]
+            for w in successors:
+                if not visited[w]:
+                    visited[w] = True
+                    path.append((w, iter(adj[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return components
+            else:
+                path.pop()
+                order.append(v)
+    return order
 
 
-def _union_find_wcc(n: int, edges: Iterable[tuple[int, int, int]]) -> list[list[int]]:
-    """Weak components of the graph on ids 0..n-1 with the given
-    (src_id, dst_id, weight) edges."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for src, dst, _ in edges:
-        ra, rb = find(src), find(dst)
-        if ra != rb:
-            parent[rb] = ra
-
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+def _reach_groups(adj: Sequence[Sequence[int]], roots: Iterable[int]) -> list[list[int]]:
+    """For each id of `roots` not yet grouped, in turn, the group of ids it
+    reaches through the successor lists `adj` via ids not yet grouped."""
+    grouped = [False] * len(adj)
+    groups: list[list[int]] = []
+    for root in roots:
+        if grouped[root]:
+            continue
+        grouped[root] = True
+        group = [root]
+        for v in group:  # visits the ids appended while it runs
+            for w in adj[v]:
+                if not grouped[w]:
+                    grouped[w] = True
+                    group.append(w)
+        groups.append(group)
+    return groups
 
 
 class ComponentReport(NamedTuple):
@@ -267,20 +236,22 @@ class ComponentReport(NamedTuple):
 def connected_components(g: TalentGraph, mode: str = STRONG) -> ComponentReport:
     """Components of the graph: strong follows edge direction, weak
     ignores it. Components come sorted by size (largest first), ties by
-    their smallest node key."""
-    if mode == STRONG:
-        adj: list[list[int]] = [[] for _ in g.nodes]
-        for u, v, _ in g.links:
-            adj[u].append(v)
-        raw = _tarjan_scc(adj)
-    elif mode == WEAK:
-        raw = _union_find_wcc(len(g.nodes), g.links)
-    else:
+    their smallest node key. Strong ones are grouped over reversed edges
+    in reverse depth-first finishing order (Kosaraju), weak ones over
+    edges in both directions in id order."""
+    if mode not in (STRONG, WEAK):
         raise ValueError(f"unknown component mode {mode!r}")
-    nodes = g.nodes
-    ordered = sorted((tuple(sorted([nodes[i] for i in c])) for c in raw),
-                     key=lambda c: (-len(c), c[0]))
-    return ComponentReport(mode=mode, node_count=g.node_count, components=tuple(ordered))
+    succ: list[list[int]] = [[] for _ in g.nodes]
+    pred: list[list[int]] = [[] for _ in g.nodes]
+    for u, v, _ in g.links:
+        succ[u].append(v)
+        pred[v].append(u)
+    groups = (_reach_groups(pred, reversed(_finish_order(succ))) if mode == STRONG
+              else _reach_groups(list(map(add, succ, pred)), range(len(g.nodes))))
+    # ids are ranks of the sorted keys, so sorted ids are sorted keys
+    ordered = sorted(map(sorted, groups), key=lambda c: (-len(c), c[0]))
+    return ComponentReport(mode=mode, node_count=g.node_count, components=tuple(
+        tuple(map(g.nodes.__getitem__, c)) for c in ordered))
 
 
 def sparsity(g: TalentGraph) -> float:
@@ -498,14 +469,16 @@ def fit_power_law(values: Iterable[int], x_min: int = 1,
 
 
 class CentralityReport(NamedTuple):
+    """Each measure is a list in the order of `nodes`."""
+
     nodes: tuple[str, ...]
-    in_degree: dict[str, int]
-    out_degree: dict[str, int]
-    pagerank: dict[str, float]
+    in_degree: list[int]
+    out_degree: list[int]
+    pagerank: list[float]
     pagerank_converged: bool
     pagerank_iterations: int
 
-    def measure(self, name: str) -> dict[str, float]:
+    def measure(self, name: str) -> list[float]:
         if name not in ("in_degree", "out_degree", "pagerank"):
             raise ValueError(f"unknown centrality measure {name!r}")
         return getattr(self, name)
@@ -516,13 +489,13 @@ def build_centrality_report(g: TalentGraph, damping: float = 0.85,
     """Degree centralities and weighted PageRank of every node. An empty
     graph gives an empty report (no nodes, converged after 0 iterations)
     without running PageRank."""
-    degrees = degree_centrality(g)
+    in_degree, out_degree = degree_centrality(g)
     pr = (weighted_pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
-          if g.nodes else PageRankResult(scores={}, converged=True, iterations=0))
+          if g.nodes else PageRankResult(scores=[], converged=True, iterations=0))
     return CentralityReport(
         nodes=g.nodes,
-        in_degree={v: d[0] for v, d in degrees.items()},
-        out_degree={v: d[1] for v, d in degrees.items()},
+        in_degree=in_degree,
+        out_degree=out_degree,
         pagerank=pr.scores,
         pagerank_converged=pr.converged,
         pagerank_iterations=pr.iterations,
@@ -534,19 +507,20 @@ def top_k(report: CentralityReport, measure: str, k: int) -> list[tuple[str, flo
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = report.measure(measure)
-    return heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return heapq.nsmallest(k, zip(report.nodes, scores), key=lambda kv: (-kv[1], kv[0]))
 
 
 def write_graph_csv(g: TalentGraph, path) -> int:
+    """The edges in key-pair order, which is the id-pair order of `links`."""
+    nodes = g.nodes
     return write_csv(path, ["src_key", "dst_key", "weight"],
-                     ((src, dst, g.edges[(src, dst)])
-                      for (src, dst) in sorted(g.edges)))
+                     ((nodes[u], nodes[v], w) for u, v, w in g.links))
 
 
 def write_centrality_csv(report: CentralityReport, path) -> int:
     return write_csv(path, ["node_key", "in_degree", "out_degree", "pagerank"],
-                     ((v, report.in_degree[v], report.out_degree[v],
-                       repr(report.pagerank[v])) for v in report.nodes))
+                     zip(report.nodes, report.in_degree, report.out_degree,
+                         map(repr, report.pagerank)))
 
 
 def write_components_csv(reports: Iterable[ComponentReport], path) -> int:

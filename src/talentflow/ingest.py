@@ -88,8 +88,7 @@ class LoadReport:
 
 
 class ProfileSet:
-    """Collection of profiles plus the shared reference date; equal to
-    another with the same profiles, date and map.
+    """Collection of profiles plus the shared reference date.
 
     `org_industry` maps every organization to its unique industry and is
     consistent with every spell (conflicting records were rewritten on load).
@@ -102,12 +101,6 @@ class ProfileSet:
         self.profiles = profiles
         self.reference_date = reference_date
         self.org_industry = org_industry
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProfileSet):
-            return NotImplemented
-        return ((self.profiles, self.reference_date, self.org_industry)
-                == (other.profiles, other.reference_date, other.org_industry))
 
     def __len__(self) -> int:
         return len(self.profiles)

@@ -269,11 +269,8 @@ def graph_summary(g: TalentGraph, report: CentralityReport,
 
     fits = {}
     for measure in FITTED_MEASURES:
-        scores = report.measure(measure)
-        # node order: the fit sums logs in input order
-        values = [scores[v] for v in report.nodes]
         try:
-            fits[measure] = fit_power_law(values, x_min=1)._asdict()
+            fits[measure] = fit_power_law(report.measure(measure), x_min=1)._asdict()
         except TailTooSmallError:
             fits[measure] = {"error": "TAIL_TOO_SMALL"}
     return rows, fits
@@ -301,9 +298,7 @@ def stage_graph(state: RunState) -> dict:
             written[name] = write(data, out / name)
         _write_json(out / f"{prefix}_powerlaw.json", fits)
         for measure in CENTRALITY_MEASURES:
-            scores = report.measure(measure)
-            values = [scores[v] for v in report.nodes]
-            positive = [v for v in values if v > 0]
+            positive = [v for v in report.measure(measure) if v > 0]
             points = degree_ccdf(positive) if positive else []
             name = f"{prefix}_{measure}_ccdf.csv"
             written[name] = write_ccdf_csv(points, out / name)

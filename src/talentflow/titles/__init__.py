@@ -2,8 +2,7 @@
 
 from .dictionaries import DictionaryError, TitleDictionaries
 from .grammar import ParsedTitle, ParseErrorCode, TitleParseError, parse
-from .lexer import (LexicalError, Token, TokenClass, clean_title, reconstruct,
-                    tokenize)
+from .lexer import LexicalError, Token, TokenClass, clean_title, tokenize
 from .normalize import (LEXICAL_ERROR_CODE, NormalizationMap, NormalizationStats,
                         ParseFailure, build_normalization)
 from .translate import TranslationTable, TranslationTableError, identity
@@ -19,7 +18,6 @@ __all__ = [
     "Token",
     "TokenClass",
     "clean_title",
-    "reconstruct",
     "tokenize",
     "LEXICAL_ERROR_CODE",
     "NormalizationMap",

@@ -16,10 +16,6 @@ FUNCTION = "function"
 POSITION = "position"
 DOMAIN = "domain"
 
-# When one phrase appears in several dictionaries the higher-priority
-# class wins.
-_PRIORITY = (FUNCTION, POSITION, DOMAIN)
-
 
 class DictionaryError(ValueError):
     """A dictionary file is missing or malformed."""
@@ -91,6 +87,8 @@ class TitleDictionaries(NamedTuple):
 
     def lookup(self, phrase: str) -> tuple[str, str] | None:
         """Classify a phrase; returns (class, canonical form) or None."""
+        # A phrase in several dictionaries takes the first class in this
+        # order: function, then position, then domain.
         for category, table in ((FUNCTION, self.functions),
                                 (POSITION, self.positions),
                                 (DOMAIN, self.domains)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .dictionaries import DOMAIN, FUNCTION, POSITION, TitleDictionaries
 
@@ -113,8 +113,3 @@ def tokenize(title: str, dicts: TitleDictionaries) -> list[Token]:
                 tokens.append(Token(w, TokenClass.WORD, w))
                 i += 1
     return tokens
-
-
-def reconstruct(tokens: Sequence[Token]) -> str:
-    """Inverse of tokenize with respect to the cleaned title."""
-    return " ".join(t.lexeme for t in tokens)

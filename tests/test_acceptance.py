@@ -364,24 +364,24 @@ def test_criterion_05_pagerank():
                ("d", "a"): 5}))
 
     for g in test_set:
-        result = weighted_pagerank(g, tol=1e-13, max_iter=10000)
-        assert abs(sum(result.scores.values()) - 1.0) <= 1e-9
-        assert all(s >= 0 for s in result.scores.values())
+        scores = dict(zip(g.nodes, weighted_pagerank(g, tol=1e-13, max_iter=10000).scores))
+        assert abs(sum(scores.values()) - 1.0) <= 1e-9
+        assert all(s >= 0 for s in scores.values())
         expected = dense_oracle(g)
         for v in g.nodes:
-            assert abs(result.scores[v] - expected[v]) <= 1e-6
+            assert abs(scores[v] - expected[v]) <= 1e-6
 
     cycle = TalentGraph(mode=ORG_MODE, nodes=("a", "b", "c"),
                         edges={("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1})
-    for score in weighted_pagerank(cycle).scores.values():
+    for score in dict(zip(cycle.nodes, weighted_pagerank(cycle).scores)).values():
         assert abs(score - 1 / 3) <= 1e-9
 
     base = {("a", "b"): 2, ("b", "c"): 3, ("c", "a"): 1, ("a", "c"): 4}
     g1 = TalentGraph(mode=ORG_MODE, nodes=("a", "b", "c"), edges=base)
     g7 = TalentGraph(mode=ORG_MODE, nodes=("a", "b", "c"),
                      edges={k: 7 * w for k, w in base.items()})
-    r1 = weighted_pagerank(g1).scores
-    r7 = weighted_pagerank(g7).scores
+    r1 = dict(zip(g1.nodes, weighted_pagerank(g1).scores))
+    r7 = dict(zip(g7.nodes, weighted_pagerank(g7).scores))
     assert sorted(r1, key=r1.get) == sorted(r7, key=r7.get)
     for v in r1:
         assert abs(r1[v] - r7[v]) <= 1e-10

@@ -369,6 +369,31 @@ def test_undecodable_config_file_is_config_error(tmp_path, corpus_file, capsys):
     assert str(cfg) in err
 
 
+def test_jobs_that_join_to_one_string_stay_two_nodes(tmp_path):
+    # ("sales manager x|y", "z") and ("sales manager x", "y|z") both read
+    # "sales manager x|y|z" when joined with a bare "|"
+    profiles = tmp_path / "p.jsonl"
+    rows = [json.dumps({
+        "person_id": person, "education": [], "skills": [],
+        "spells": [
+            {"title": title, "organization": org, "industry": industry,
+             "start": "2010-01", "end": "2011-12"},
+            {"title": "finance manager", "organization": "C", "industry": "f",
+             "start": "2012-01", "end": None},
+        ]}) for person, title, org, industry in (
+            ("p1", "sales manager x|y", "A", "z"),
+            ("p2", "sales manager x", "B", "y|z"))]
+    profiles.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", str(profiles), "--out", str(out),
+                   "--reference-date", REF, "--title-min-sup", "1",
+                   "--edge-min-sup", "1") == 0
+    with open(out / "job_graph.csv", newline="", encoding="utf-8") as fh:
+        edges = [(r["src_key"], r["dst_key"], r["weight"]) for r in csv.DictReader(fh)]
+    assert edges == [("sales manager x\\|y|z", "finance manager|f", "1"),
+                     ("sales manager x|y\\|z", "finance manager|f", "1")]
+
+
 def test_translate_table_applied(tmp_path, dicts):
     profiles = tmp_path / "p.jsonl"
     rows = []

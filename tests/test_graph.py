@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -120,14 +121,14 @@ def test_filter_monotonicity(dicts):
 
 def test_star_graph_degrees():
     g = graph_of({("l1", "c"): 5, ("l2", "c"): 9, ("l3", "c"): 1, ("l4", "c"): 2})
-    degrees = degree_centrality(g)
+    degrees = dict(zip(g.nodes, zip(*degree_centrality(g))))
     assert degrees["c"] == (4, 0)
     assert degrees["l1"] == (0, 1)
 
 
 def test_degrees_ignore_weights():
     g = graph_of({("a", "b"): 1000})
-    assert degree_centrality(g)["b"] == (1, 0)
+    assert dict(zip(g.nodes, zip(*degree_centrality(g))))["b"] == (1, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +144,7 @@ def test_degrees_match_adjacency_recount(pairs, weight):
     adj = np.zeros((n, n), dtype=int)
     for (src, dst) in edges:
         adj[index[src], index[dst]] = 1
-    degrees = degree_centrality(g)
+    degrees = dict(zip(g.nodes, zip(*degree_centrality(g))))
     for v in g.nodes:
         assert degrees[v] == (int(adj[:, index[v]].sum()), int(adj[index[v]].sum()))
 
@@ -182,14 +183,14 @@ def test_three_cycle_is_uniform():
     g = graph_of({("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1})
     result = weighted_pagerank(g)
     assert result.converged
-    for score in result.scores.values():
+    for score in dict(zip(g.nodes, result.scores)).values():
         assert abs(score - 1 / 3) <= 1e-9
 
 
 def test_single_node_no_edges():
     g = TalentGraph(mode=ORG_MODE, nodes=("only",), edges={})
     result = weighted_pagerank(g)
-    assert result.scores == {"only": 1.0}
+    assert dict(zip(g.nodes, result.scores)) == {"only": 1.0}
 
 
 def test_pagerank_sums_to_one_and_nonnegative():
@@ -204,9 +205,9 @@ def test_pagerank_sums_to_one_and_nonnegative():
         nodes = tuple(sorted({v for pair in edges for v in pair}
                              | {f"n{i}" for i in range(n)}))
         g = TalentGraph(mode=ORG_MODE, nodes=nodes, edges=edges)
-        result = weighted_pagerank(g)
-        assert abs(sum(result.scores.values()) - 1.0) <= 1e-9
-        assert all(s >= 0 for s in result.scores.values())
+        scores = dict(zip(g.nodes, weighted_pagerank(g).scores))
+        assert abs(sum(scores.values()) - 1.0) <= 1e-9
+        assert all(s >= 0 for s in scores.values())
 
 
 def test_pagerank_matches_dense_oracle_on_small_graphs():
@@ -221,7 +222,7 @@ def test_pagerank_matches_dense_oracle_on_small_graphs():
         if not edges:
             continue
         g = graph_of(edges)
-        got = weighted_pagerank(g, tol=1e-14, max_iter=5000).scores
+        got = dict(zip(g.nodes, weighted_pagerank(g, tol=1e-14, max_iter=5000).scores))
         expected = oracle_pagerank(g)
         for v in g.nodes:
             assert abs(got[v] - expected[v]) <= 1e-6
@@ -276,7 +277,7 @@ def test_pagerank_is_bit_exact_with_left_to_right_sums():
     g = TalentGraph(mode=ORG_MODE, nodes=nodes, edges=edges)
     expected, sensitive, _, _ = _left_to_right_pagerank(g)
     assert sensitive > 0  # compensated sums would round differently here
-    got = weighted_pagerank(g).scores
+    got = dict(zip(g.nodes, weighted_pagerank(g).scores))
     assert list(got) == list(nodes)
     assert [repr(got[v]) for v in nodes] == [repr(expected[v]) for v in nodes]
 
@@ -298,8 +299,9 @@ def _weighted_graphs(draw):
 def test_pagerank_is_bit_exact_on_random_graphs(g, max_iter):
     expected, _, iterations, converged = _left_to_right_pagerank(g, max_iter=max_iter)
     got = weighted_pagerank(g, max_iter=max_iter)
-    assert list(got.scores) == list(g.nodes)
-    assert [repr(got.scores[v]) for v in g.nodes] == [repr(expected[v]) for v in g.nodes]
+    scores = dict(zip(g.nodes, got.scores))
+    assert len(got.scores) == len(g.nodes)
+    assert [repr(scores[v]) for v in g.nodes] == [repr(expected[v]) for v in g.nodes]
     assert (got.iterations, got.converged) == (iterations, converged)
 
 
@@ -307,8 +309,8 @@ def test_weight_scaling_leaves_scores_unchanged():
     base = {("a", "b"): 2, ("b", "c"): 3, ("c", "a"): 1, ("a", "c"): 4}
     g1 = graph_of(base)
     g7 = graph_of({pair: w * 7 for pair, w in base.items()})
-    r1 = weighted_pagerank(g1).scores
-    r7 = weighted_pagerank(g7).scores
+    r1 = dict(zip(g1.nodes, weighted_pagerank(g1).scores))
+    r7 = dict(zip(g7.nodes, weighted_pagerank(g7).scores))
     for v in r1:
         assert abs(r1[v] - r7[v]) <= 1e-12
     assert (sorted(r1, key=r1.get) == sorted(r7, key=r7.get))
@@ -325,8 +327,9 @@ def test_dead_end_mass_redistributed():
     g = graph_of({("a", "b"): 1})  # b is a dead end
     result = weighted_pagerank(g)
     assert result.converged
-    assert abs(sum(result.scores.values()) - 1.0) <= 1e-9
-    assert result.scores["b"] > result.scores["a"]
+    scores = dict(zip(g.nodes, result.scores))
+    assert abs(sum(scores.values()) - 1.0) <= 1e-9
+    assert scores["b"] > scores["a"]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +403,24 @@ def test_every_scc_within_one_wcc():
             owners = {wcc_of[v] for v in comp}
             assert len(owners) == 1
         assert wccs.count <= sccs.count
+
+
+@pytest.mark.parametrize("closed, strong_count", [(False, 50_000), (True, 1)])
+def test_components_of_deep_graphs_need_no_recursion(closed, strong_count):
+    # a recursive search would go 50,000 calls deep, far past the limit
+    assert sys.getrecursionlimit() < 50_000
+    n = 50_000
+    nodes = tuple(f"n{i:05d}" for i in range(n))
+    edges = {(nodes[i], nodes[i + 1]): 1 for i in range(n - 1)}
+    if closed:
+        edges[(nodes[-1], nodes[0])] = 1
+    g = TalentGraph(mode=ORG_MODE, nodes=nodes, edges=edges)
+    strong = connected_components(g, STRONG)
+    assert strong.count == strong_count
+    assert strong.largest_size == n // strong_count
+    assert strong.components[0][0] == "n00000"
+    weak = connected_components(g, WEAK)
+    assert weak.count == 1 and weak.largest_size == n
 
 
 def test_component_percentages():
@@ -575,7 +596,7 @@ def test_empty_graph_api():
         sparsity(g)
     report = build_centrality_report(g)
     assert report.nodes == ()
-    assert report.in_degree == report.out_degree == report.pagerank == {}
+    assert report.in_degree == report.out_degree == report.pagerank == []
     assert report.pagerank_converged and report.pagerank_iterations == 0
     for mode in (STRONG, WEAK):
         assert connected_components(g, mode).count == 0

@@ -16,8 +16,6 @@ from talentflow.metrics import (CohortKey, Distribution, DurationBinCell,
 from talentflow.titles import (NormalizationStats, ParsedTitle, ParseFailure,
                                TitleDictionaries, Token)
 
-from conftest import profile, profile_set, spell
-
 RECORDS = (
     JobSpell, PersonProfile, Rejection, Hop, JobHolding, LevelGainRecord,
     PromotionTable, DurationBinCell, CohortKey, QuartileSummary,
@@ -36,14 +34,6 @@ def test_record_is_an_immutable_tuple(cls):
         setattr(record, cls._fields[0], 0)
     with pytest.raises(AttributeError):
         record.extra = 0
-
-
-def test_profile_set_equality_compares_contents():
-    spells = [spell("analyst", "OrgA", "i1", "2010-01", "2012-01")]
-    same = profile_set([profile("p1", spells)])
-    assert profile_set([profile("p1", spells)]) == same
-    assert profile_set([profile("p2", spells)]) != same
-    assert profile_set([]) != same
 
 
 def test_holders_take_only_their_own_attributes():
